@@ -101,24 +101,14 @@ def _load_json(path: str):
         raise UsageError(f"malformed JSON in {path}: {exc}")
 
 
-def _modulus_from_args(args) -> PrimePowerModulus:
-    if getattr(args, "p", None) is not None:
-        return PrimePowerModulus(args.p, args.M if args.M is not None else 1)
-    try:
-        return PrimePowerModulus.from_n(args.N)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _add_modulus_args(sub, with_pm: bool = True) -> None:
+def _add_modulus_args(sub) -> None:
     sub.add_argument("-N", type=int, help="ambient size")
-    if with_pm:
-        sub.add_argument("-p", type=int, help="prime base (alternative to -N)")
-        sub.add_argument("-M", type=int, help="exponent, with -p")
+    sub.add_argument("-p", type=int, help="prime base (alternative to -N)")
+    sub.add_argument("-M", type=int, help="exponent, with -p")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="unisamp",
         description="Universal sampling sets on Z_N for prime-power N: "
         "verdicts, constructions, counts, interpolation, uncertainty bounds.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; results never depend on it",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -216,22 +200,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_n(args) -> int:
-    if getattr(args, "N", None) is not None:
+    if args.N is not None:
         return args.N
-    if getattr(args, "p", None) is not None:
+    if args.p is not None:
         return args.p ** (args.M if args.M is not None else 1)
     raise UsageError("specify -N, or -p with -M")
+
+
+def _modulus(args) -> tuple[int, PrimePowerModulus]:
+    """N, from -N or as p^M, and its factorization."""
+    n = _require_n(args)
+    return n, PrimePowerModulus.from_n(n)
+
+
+def _residue_input(args) -> tuple[IndexSet, PrimePowerModulus]:
+    """The -I index set and the modulus it lives under."""
+    n, modulus = _modulus(args)
+    return parse_index_set(args.I, n), modulus
 
 
 def _run(args) -> int:
     cmd = args.command
 
     if cmd == "check":
-        n = _require_n(args)
-        modulus = _modulus_from_args(args) if getattr(args, "p", None) else None
-        if modulus is None:
-            modulus = PrimePowerModulus.from_n(n)  # may raise -> usage error
-        iset = parse_index_set(args.I, n)
+        iset, modulus = _residue_input(args)
         verdict = is_universal(iset, modulus)
         out = verdict.to_json()
         out["criteria_agree"] = (
@@ -248,31 +240,24 @@ def _run(args) -> int:
         return 0
 
     if cmd == "maximal":
-        n = _require_n(args)
-        modulus = PrimePowerModulus.from_n(n)
-        result = maximal_universal(parse_index_set(args.I, n), modulus)
+        result = maximal_universal(*_residue_input(args))
         _emit(
             {
                 "size": result.size,
-                "example": list(result.example.elements),
+                "example": result.example.array.tolist(),
                 **result.decomposition.to_json(),
             }
         )
         return 0
 
     if cmd == "minimal":
-        n = _require_n(args)
-        modulus = PrimePowerModulus.from_n(n)
-        result = minimal_universal(parse_index_set(args.I, n), modulus)
-        _emit({"size": result.size, "example": list(result.example.elements)})
+        result = minimal_universal(*_residue_input(args))
+        _emit({"size": result.size, "example": result.example.array.tolist()})
         return 0
 
     if cmd == "construct":
-        n = _require_n(args)
-        modulus = PrimePowerModulus.from_n(n)
-        iset = parse_index_set(args.I, n)
         try:
-            result = universal_subset_of_size(iset, modulus, args.size)
+            result = universal_subset_of_size(*_residue_input(args), args.size)
         except InfeasibleSizeError as exc:
             print(str(exc), file=sys.stderr)
             return 1
@@ -280,10 +265,8 @@ def _run(args) -> int:
         return 0
 
     if cmd == "decompose":
-        n = _require_n(args)
-        modulus = PrimePowerModulus.from_n(n)
         try:
-            decomposition = decompose(parse_index_set(args.I, n), modulus)
+            decomposition = decompose(*_residue_input(args))
         except NotUniversalError as exc:
             print(json.dumps(exc.verdict.to_json()), file=sys.stderr)
             return 1
@@ -291,12 +274,19 @@ def _run(args) -> int:
         return 0
 
     if cmd == "count":
-        n = _require_n(args)
-        modulus = PrimePowerModulus.from_n(n)
+        _, modulus = _modulus(args)
         if args.brute:
-            print(count_by_brute_force(args.d, modulus))
+            count = count_by_brute_force(args.d, modulus)
         else:
-            print(count_universal(args.d, modulus))
+            count = count_universal(args.d, modulus)
+        # exact counts run to tens of thousands of digits, past the
+        # interpreter's default int->str limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            print(count)
+        finally:
+            sys.set_int_max_str_digits(limit)
         return 0
 
     if cmd == "entropy":
@@ -314,7 +304,7 @@ def _run(args) -> int:
             cls = bracelet_canonical(iset)
             _emit(
                 {
-                    "canonical": list(cls.canonical.elements),
+                    "canonical": cls.canonical.array.tolist(),
                     "orbit_size": cls.orbit_size,
                 }
             )
@@ -359,8 +349,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "uncertainty":
-        n = _require_n(args)
-        modulus = PrimePowerModulus.from_n(n)
+        n, modulus = _modulus(args)
         obj = _load_json(args.signal)
         try:
             signal = Signal.from_json(obj)
@@ -373,8 +362,7 @@ def _run(args) -> int:
         return 0 if report.all_pass else 1
 
     if cmd == "rand-maximal":
-        n = _require_n(args)
-        modulus = PrimePowerModulus.from_n(n)
+        _, modulus = _modulus(args)
         summary = random_maximal_experiment(
             modulus, args.s, args.d, args.delta, args.trials, args.seed
         )
@@ -382,8 +370,7 @@ def _run(args) -> int:
         return 0 if summary.within_bound else 1
 
     if cmd == "rand-signal":
-        n = _require_n(args)
-        modulus = PrimePowerModulus.from_n(n)
+        _, modulus = _modulus(args)
         summary = random_signal_uncertainty(
             modulus, args.r, args.delta, args.trials, args.seed
         )
@@ -395,7 +382,7 @@ def _run(args) -> int:
         x = parse_index_set(args.X, n)
         y = parse_index_set(args.Y, n)
         total = sumset(x, y)
-        out: dict = {"sumset": list(total.elements)}
+        out: dict = {"sumset": total.array.tolist()}
         code = 0
         if args.check:
             modulus = PrimePowerModulus.from_n(n)

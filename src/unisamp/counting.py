@@ -48,11 +48,9 @@ def base_p_expansion(d: int, modulus: PrimePowerModulus) -> BasePExpansion:
 def count_universal(d: int, modulus: PrimePowerModulus) -> int:
     """Exact number of universal subsets of [0:p^M-1] with cardinality d.
 
-    Edge case d = N needs digit alpha_1 = p at the top place; the product
-    formula still works because C(p, p+1) = 0 is never reached there
-    (d_1 = p^{M-1} makes the second factor's exponent zero) -- but the
-    first factor C(p, p+1)^{d_1} would vanish, so clamp via symmetry
-    instead.
+    The whole group is the only set of size d = N, so that case returns
+    1 at once. The product formula agrees: the leading digit of N is
+    then p, and that place contributes C(p, p+1)^0 * C(p, p)^(p^(M-1)) = 1.
     """
     if not 0 <= d <= modulus.n:
         raise ValueError(f"cardinality {d} outside [0:{modulus.n}]")

@@ -109,8 +109,8 @@ class DftSubmatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        r = np.asarray(self.rows.elements)
-        c = np.asarray(self.cols.elements)
+        r = self.rows.array
+        c = self.cols.array
         phase = np.outer(r, c) % self.n
         return np.exp(-2j * np.pi * phase / self.n)
 
@@ -226,7 +226,7 @@ def brute_force_universal(
         return cached
     rows = IndexSet.from_mask(n, key[1])
     f = dft_matrix(n)
-    base = f[np.asarray(rows.elements), :]
+    base = f[rows.array, :]
     reps = _canonical_column_masks(n, d)
     verdict = True
     chunk = 256
@@ -268,8 +268,8 @@ def interpolate(
     report = is_invertible(sample_set, support, n, tolerance)
     if not report.full_rank:
         raise SingularSystemError(report)
-    r_full = dft_matrix(n).conj()[:, np.asarray(support.elements)]
-    a = r_full[np.asarray(sample_set.elements), :]
+    r_full = dft_matrix(n).conj()[:, support.array]
+    a = r_full[sample_set.array, :]
     lu, piv = scipy.linalg.lu_factor(a)
     c = scipy.linalg.lu_solve((lu, piv), b)
     c += scipy.linalg.lu_solve((lu, piv), b - a @ c)  # one refinement pass
@@ -282,7 +282,7 @@ def interpolating_basis(
     """Re-express a basis of a d-dimensional signal space so that column
     j is 1 at the j-th sample index and 0 at the others: U = R (E_I^T R)^{-1}."""
     r = np.asarray(basis_matrix, dtype=np.complex128)
-    rows = np.asarray(sample_set.elements)
+    rows = sample_set.array
     square = r[rows, :]
     report = _rank_report(square, tolerance)
     if not report.full_rank:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+import numpy as np
+
 
 def is_prime(n: int) -> bool:
     """Primality by trial division; fine at desk scale."""
@@ -71,46 +73,91 @@ class PrimePowerModulus:
         return cls(n, 1)  # n itself is prime
 
 
-@dataclass(frozen=True)
+def _int_array(values) -> np.ndarray:
+    """A new one-dimensional int64 array of the given integers."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"indices must be integers: {exc}") from None
+    if arr.ndim != 1:
+        raise ValueError("indices must form a flat list")
+    return arr
+
+
 class IndexSet:
-    """A set of distinct residues in [0:N-1], stored sorted."""
+    """A set of distinct residues in [0:N-1], held as `array`, a sorted
+    read-only int64 array. `elements` is the same set as a tuple of
+    Python ints, built on first use."""
 
-    n: int
-    elements: tuple[int, ...]
+    __slots__ = ("n", "array", "_elements", "_histogram")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ambient size must be >= 1, got {self.n}")
-        prev = -1
-        for e in self.elements:
-            if not 0 <= e < self.n:
-                raise ValueError(f"element {e} outside [0:{self.n - 1}]")
-            if e <= prev:
-                raise ValueError("elements must be strictly increasing")
-            prev = e
+    def __init__(self, n: int, elements: Iterable[int]) -> None:
+        """Elements must already be strictly increasing; `of` sorts."""
+        self._adopt(n, _int_array(elements))
+
+    def _adopt(self, n: int, arr: np.ndarray, check: bool = True) -> "IndexSet":
+        if check and n < 1:
+            raise ValueError(f"ambient size must be >= 1, got {n}")
+        if check and len(arr) and (
+            arr[0] < 0 or arr[-1] >= n or np.count_nonzero(arr[1:] <= arr[:-1])
+        ):
+            outside = arr[(arr < 0) | (arr >= n)]
+            if len(outside):
+                raise ValueError(f"element {outside[0]} outside [0:{n - 1}]")
+            raise ValueError("elements must be strictly increasing")
+        arr.setflags(write=False)
+        self.n, self.array, self._elements, self._histogram = n, arr, None, None
+        return self
+
+    @classmethod
+    def _trusted(cls, n: int, arr: np.ndarray) -> "IndexSet":
+        """Wrap an array known to be sorted, distinct and in range."""
+        return cls.__new__(cls)._adopt(n, arr, check=False)
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "IndexSet":
         """Build from any iterable; sorts and rejects duplicates."""
-        elems = sorted(elements)
-        return cls(n, tuple(elems))
+        arr = _int_array(elements)
+        arr.sort()
+        return cls.__new__(cls)._adopt(n, arr)
 
     @classmethod
     def full(cls, n: int) -> "IndexSet":
-        return cls(n, tuple(range(n)))
+        return cls(n, np.arange(n))
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        if self._elements is None:
+            self._elements = tuple(self.array.tolist())
+        return self._elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.array)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        i = int(np.searchsorted(self.array, x))
+        return i < len(self.array) and self.array[i] == x
 
     def __iter__(self):
         return iter(self.elements)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IndexSet):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"IndexSet(n={self.n}, elements={self.elements})"
+
     def complement(self) -> "IndexSet":
-        inside = set(self.elements)
-        return IndexSet(self.n, tuple(x for x in range(self.n) if x not in inside))
+        outside = np.ones(self.n, dtype=bool)
+        outside[self.array] = False
+        return IndexSet._trusted(self.n, np.flatnonzero(outside))
 
     def mask(self) -> int:
         """Bitmask encoding, bit i set iff i is an element."""
@@ -124,13 +171,13 @@ class IndexSet:
         return cls(n, tuple(i for i in range(n) if mask >> i & 1))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "indices": list(self.elements)}
+        return {"n": self.n, "indices": self.array.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "IndexSet":
         try:
             n = int(obj["n"])
-            indices = [int(i) for i in obj["indices"]]
+            indices = _int_array(obj["indices"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad index set JSON (need 'n' and 'indices'): {exc}")
         return cls.of(n, indices)
@@ -139,64 +186,105 @@ class IndexSet:
         return json.dumps(self.to_json())
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _layout(p: int, top: int) -> tuple[tuple[int, ...], np.ndarray, list]:
+    """Where levels 0..top lie in a flat pyramid: each level's offset,
+    then the total length; the offsets as an array; and, from the top
+    down, the (level k, level k-1) slice pairs of each fold."""
+    starts = tuple((p ** k - 1) // (p - 1) for k in range(top + 2))
+    folds = [(slice(starts[k], starts[k + 1]), slice(starts[k - 1], starts[k]))
+             for k in range(top, 0, -1)]
+    return starts, np.array(starts[:-1]), folds
+
+
 class ResidueHistogram:
     """Per-level residue multiplicities of an index set.
 
     counts[k][a] is the number of elements congruent to a mod p^k, for
     0 <= k <= M. Level 0 is the single total; the weight of every node
     in the congruence tree equals the sum of its children's weights.
+
+    Levels 0..top are stored end to end in the int64 array `flat`;
+    `row(k)` is level k, and `lo[k]`, `hi[k]` are its extreme counts.
+    A residue histogram stops at top, the first level with p^top >= |I|
+    (at most M): from there up a level is balanced exactly when the
+    residues are distinct, so every higher level is balanced when level
+    top is.
+    `counts` counts the higher levels from `elements` on demand.
     """
 
-    modulus: PrimePowerModulus
-    counts: tuple[tuple[int, ...], ...]
+    __slots__ = ("modulus", "flat", "top", "lo", "hi", "elements", "_counts")
+
+    def __init__(self, modulus, flat, top, elements=None) -> None:
+        offsets = _layout(modulus.p, top)[1]
+        self.modulus, self.flat, self.top, self.elements = modulus, flat, top, elements
+        self.lo = np.minimum.reduceat(flat, offsets)
+        self.hi = np.maximum.reduceat(flat, offsets)
+        self._counts = None
+
+    def row(self, k: int) -> np.ndarray:
+        starts = _layout(self.modulus.p, self.top)[0]
+        return self.flat[starts[k]:starts[k + 1]]
+
+    @property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        if self._counts is None:
+            p, rows = self.modulus.p, [self.row(k) for k in range(self.top + 1)]
+            for k in range(self.top + 1, self.modulus.m + 1):
+                rows.append(np.bincount(self.elements % p ** k, minlength=p ** k))
+            self._counts = tuple(tuple(row.tolist()) for row in rows)
+        return self._counts
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResidueHistogram):
+            return NotImplemented
+        return self.modulus == other.modulus and self.counts == other.counts
 
     def level(self, k: int) -> tuple[int, ...]:
         return self.counts[k]
 
     @property
     def cardinality(self) -> int:
-        return self.counts[0][0]
+        return int(self.flat[0])
 
     def spread_ok(self) -> bool:
         """True when max - min <= 1 at every level."""
-        for row in self.counts:
-            if max(row) - min(row) > 1:
-                return False
-        return True
+        return not np.count_nonzero(self.hi - self.lo > 1)
 
 
 def residue_histogram(index_set: IndexSet, modulus: PrimePowerModulus) -> ResidueHistogram:
-    """Count elements of the set in each congruence class mod p^k, all k <= M."""
+    """Count elements of the set in each congruence class mod p^k, all k <= M.
+
+    One bincount at the top stored level; each level below folds away
+    the top digit of the residue (classes a + j p^(k-1) merge). The
+    result is kept on the index set, so the criteria, the witness and
+    the valuation of one set share one pyramid.
+    """
     if index_set.n != modulus.n:
         raise ValueError(
             f"index set lives in Z_{index_set.n}, modulus is {modulus.n}"
         )
-    p, m = modulus.p, modulus.m
-    levels = []
-    for k in range(m + 1):
-        pk = p ** k
-        row = [0] * pk
-        for e in index_set.elements:
-            row[e % pk] += 1
-        levels.append(tuple(row))
-    return ResidueHistogram(modulus, tuple(levels))
+    if index_set._histogram is not None:  # N = p^M fixes the modulus
+        return index_set._histogram
+    p, arr = modulus.p, index_set.array
+    top, pk = 0, 1
+    while pk < len(arr) and top < modulus.m:
+        top, pk = top + 1, pk * p
+    starts, _, folds = _layout(p, top)
+    flat = np.bincount(arr % pk + starts[top], minlength=starts[-1])
+    for level, below in folds:
+        np.add.reduce(flat[level].reshape(p, -1), 0, None, flat[below])
+    index_set._histogram = ResidueHistogram(modulus, flat, top, arr)
+    return index_set._histogram
 
 
 def chi_star(d: int, modulus: PrimePowerModulus) -> ResidueHistogram:
-    """Residue histogram of the consecutive block [0:d-1].
-
-    Closed form: floor((d-1-a)/p^k) + 1, clamped at zero.
+    """Residue histogram of the consecutive block [0:d-1]: class a mod
+    p^k holds floor((d-1-a)/p^k) + 1 of its elements, clamped at zero.
     """
     if not 0 <= d <= modulus.n:
         raise ValueError(f"cardinality {d} outside [0:{modulus.n}]")
-    p, m = modulus.p, modulus.m
-    levels = []
-    for k in range(m + 1):
-        pk = p ** k
-        row = tuple(max(0, (d - 1 - a) // pk + 1) for a in range(pk))
-        levels.append(row)
-    return ResidueHistogram(modulus, tuple(levels))
+    return residue_histogram(IndexSet._trusted(modulus.n, np.arange(d)), modulus)
 
 
 def digit_reverse(a: int, p: int, m: int) -> int:
@@ -220,24 +308,18 @@ def dispersion(index_set: IndexSet, modulus: PrimePowerModulus) -> ResidueHistog
         raise ValueError(
             f"index set lives in Z_{index_set.n}, modulus is {modulus.n}"
         )
-    p, m = modulus.p, modulus.m
-    levels = []
-    for k in range(m + 1):
-        width = p ** (m - k)
-        row = [0] * (p ** k)
-        for e in index_set.elements:
-            row[e // width] += 1
-        levels.append(tuple(row))
-    return ResidueHistogram(modulus, tuple(levels))
+    p, m, arr = modulus.p, modulus.m, index_set.array
+    rows = [np.bincount(arr // p ** (m - k), minlength=p ** k) for k in range(m + 1)]
+    return ResidueHistogram(modulus, np.concatenate(rows), m)
 
 
 def act(index_set: IndexSet, t: int, reflect: bool = False) -> IndexSet:
     """Dihedral action: optionally negate mod N, then subtract t mod N."""
     n = index_set.n
-    elems = index_set.elements
+    arr = index_set.array
     if reflect:
-        elems = tuple(-e % n for e in elems)
-    return IndexSet.of(n, ((e - t) % n for e in elems))
+        arr = -arr % n
+    return IndexSet.of(n, (arr - t) % n)
 
 
 @dataclass(frozen=True)

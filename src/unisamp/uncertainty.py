@@ -200,7 +200,7 @@ def random_maximal_experiment(
     successes = 0
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        subset = IndexSet.of(n, (int(x) for x in rng.permutation(n)[:s]))
+        subset = IndexSet.of(n, rng.permutation(n)[:s])
         if maximal_universal(subset, modulus).size >= d:
             successes += 1
     bound = 1.0 - d ** (-delta) if d > 1 else 1.0 if s >= 1 else 0.0

@@ -11,17 +11,15 @@ universal subsets, and decompositions into elementary pieces.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .index_core import (
     IndexSet,
     PrimePowerModulus,
     ResidueHistogram,
-    chi_star,
-    digit_reverse,
-    dispersion,
     residue_histogram,
 )
 
@@ -54,15 +52,13 @@ class UniversalDecomposition:
         return tuple(k for k, _ in self.pieces)
 
     def union(self, n: int) -> IndexSet:
-        elems: list[int] = []
-        for _, piece in self.pieces:
-            elems.extend(piece.elements)
-        return IndexSet.of(n, elems)
+        arrays = [piece.array for _, piece in self.pieces]
+        return IndexSet.of(n, np.concatenate(arrays) if arrays else [])
 
     def to_json(self) -> dict:
         return {
             "pieces": [
-                {"k": k, "indices": list(piece.elements)} for k, piece in self.pieces
+                {"k": k, "indices": piece.array.tolist()} for k, piece in self.pieces
             ]
         }
 
@@ -127,47 +123,46 @@ def is_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> Universalit
     class counts mod p^k differ by at most 1.
 
     The witness, when present, is the first (k, a, b) in ascending scan
-    order with count(b) - count(a) >= 2.
+    order with count(b) - count(a) >= 2: the first level whose spread is
+    at least 2, the first class a two or more below that level's
+    maximum, and the first class b at least two above a.
     """
     hist = residue_histogram(index_set, modulus)
-    return _verdict_from_histogram(hist)
-
-
-def _verdict_from_histogram(hist: ResidueHistogram) -> UniversalityVerdict:
-    for k, row in enumerate(hist.counts):
-        if max(row) - min(row) <= 1:
-            continue
-        for a, ca in enumerate(row):
-            for b, cb in enumerate(row):
-                if cb - ca >= 2:
-                    return UniversalityVerdict(False, (k, a, b))
-    return UniversalityVerdict(True)
+    bad = hist.hi - hist.lo >= 2
+    k = int(bad.argmax())
+    if not bad[k]:
+        return UniversalityVerdict(True)
+    row = hist.row(k)
+    a = int((row <= hist.hi[k] - 2).argmax())
+    b = int((row >= row[a] + 2).argmax())
+    return UniversalityVerdict(False, (k, a, b))
 
 
 def is_universal_via_chi_star(index_set: IndexSet, modulus: PrimePowerModulus) -> bool:
     """Multiset criterion: level-k counts, as a multiset, must equal
-    those of the consecutive block of the same cardinality."""
+    those of the consecutive block of the same cardinality.
+
+    With q, r = divmod(|I|, p^k), the block's level-k multiset is r
+    counts of q + 1 and p^k - r counts of q; a row summing to |I|
+    matches it exactly when every count lies in [q, q + 1]. Levels above
+    the stored ones follow from the top one, as for the balanced test.
+    """
     hist = residue_histogram(index_set, modulus)
-    star = chi_star(len(index_set), modulus)
-    for row, row_star in zip(hist.counts, star.counts):
-        if sorted(row) != sorted(row_star):
-            return False
-    return True
+    q = len(index_set) // modulus.p ** np.arange(hist.top + 1)
+    return not np.count_nonzero((hist.lo < q) | (hist.hi > q + 1))
 
 
 def is_universal_via_dispersion(index_set: IndexSet, modulus: PrimePowerModulus) -> bool:
     """Digit-reversal criterion: the digit-reversed image must be
     uniformly dispersed, i.e. its block-occupancy counts differ by at
-    most 1 at every level."""
-    p, m = modulus.p, modulus.m
-    reversed_set = IndexSet.of(
-        modulus.n, (digit_reverse(e, p, m) for e in index_set.elements)
-    )
-    return dispersion(reversed_set, modulus).spread_ok()
+    most 1 at every level.
 
-
-def _pair_sum(row: tuple[int, ...]) -> int:
-    return sum(c * (c - 1) // 2 for c in row)
+    By dispersion(reverse(I))[k][reverse_k(a)] == chi_k(a; I), the
+    level-k block counts of the reversed image are the level-k residue
+    counts of I relabelled, so their spread is read off the residue
+    pyramid and the reversed set is never built.
+    """
+    return residue_histogram(index_set, modulus).spread_ok()
 
 
 def schur_valuation(index_set: IndexSet, modulus: PrimePowerModulus) -> SchurValuation:
@@ -182,49 +177,54 @@ def schur_valuation(index_set: IndexSet, modulus: PrimePowerModulus) -> SchurVal
     if len(index_set) == 0:
         raise ValueError("valuation of an empty product is undefined here")
     hist = residue_histogram(index_set, modulus)
-    star = chi_star(len(index_set), modulus)
-    num = sum(_pair_sum(hist.counts[k]) for k in range(1, modulus.m + 1))
-    den = sum(_pair_sum(star.counts[k]) for k in range(1, modulus.m + 1))
-    # pairs still congruent mod p^M contribute further powers: differences
-    # are less than p^M in magnitude only for distinct residues, but two
-    # elements can never share a class mod p^M, so the sums stop at M.
+    c = hist.flat[1:]
+    num = int((c * (c - 1) // 2).sum())
+    # Above the stored levels, pairs are counted from sorted residues
+    # until the residues are distinct. Two distinct elements differ by
+    # less than p^M, so no pair is congruent mod p^M.
+    d, p, arr = len(index_set), modulus.p, index_set.array
+    k, pairs = hist.top + 1, int(hist.hi[hist.top] > 1)
+    while pairs and k < modulus.m:
+        r = np.sort(arr % p ** k)
+        pairs = int((np.arange(d) - np.searchsorted(r, r)).sum())
+        num, k = num + pairs, k + 1
+    den, pk = 0, p
+    for _ in range(modulus.m):
+        q, r = divmod(d, pk)
+        den += r * (q + 1) * q // 2 + (pk - r) * q * (q - 1) // 2
+        pk *= p
     return SchurValuation(num, den)
 
 
-def _largest_full_level(elements: set[int], modulus: PrimePowerModulus) -> int:
-    """Largest k such that every class mod p^k meets the set."""
-    p = modulus.p
-    k = 0
-    for k_try in range(1, modulus.m + 1):
-        pk = p ** k_try
-        seen = {e % pk for e in elements}
-        if len(seen) < pk:
-            break
-        k = k_try
-    return k
+def _largest_full_level(hist: ResidueHistogram) -> int:
+    """Largest k such that every class mod p^k meets the set. A full
+    level has p^k <= |I|, so it is stored, and full levels are nested."""
+    empty = hist.lo == 0
+    k = int(empty.argmax())
+    return k - 1 if empty[k] else hist.top
 
 
-def _extract_piece(elements: set[int], k: int, modulus: PrimePowerModulus) -> tuple[IndexSet, set[int]]:
+def _extract_piece(index_set: IndexSet, k: int, modulus: PrimePowerModulus) -> tuple[IndexSet, IndexSet]:
     """Pull out one elementary piece at level k and drop its shadow.
 
     The piece takes the smallest element of each class mod p^k. Every
     remaining element congruent to a chosen one mod p^{k+1} is removed
     along with it, which is what keeps later pieces separated.
     """
-    p = modulus.p
-    pk = p ** k
-    chosen: dict[int, int] = {}
-    for e in sorted(elements):
-        r = e % pk
-        if r not in chosen:
-            chosen[r] = e
-    if len(chosen) < pk:
+    n, arr = modulus.n, index_set.array
+    pk = modulus.p ** k
+    if pk > len(arr):
         raise LookupError(f"some class mod {pk} is empty")
-    piece = IndexSet.of(modulus.n, chosen.values())
-    pk1 = pk * p
-    shadow = {e % pk1 for e in chosen.values()}
-    remaining = {e for e in elements if e % pk1 not in shadow}
-    return piece, remaining
+    smallest = np.full(pk, n, dtype=np.int64)
+    np.minimum.at(smallest, arr % pk, arr)
+    if smallest[smallest.argmax()] == n:
+        raise LookupError(f"some class mod {pk} is empty")
+    smallest.sort()
+    pk1 = pk * modulus.p
+    shadow = np.zeros(pk1, dtype=bool)
+    shadow[smallest % pk1] = True
+    remaining = arr[~shadow[arr % pk1]]
+    return IndexSet._trusted(n, smallest), IndexSet._trusted(n, remaining)
 
 
 def maximal_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> MaximalResult:
@@ -239,10 +239,10 @@ def maximal_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> Maxima
         raise ValueError(
             f"index set lives in Z_{index_set.n}, modulus is {modulus.n}"
         )
-    remaining = set(index_set.elements)
+    remaining = index_set
     pieces: list[tuple[int, IndexSet]] = []
-    while remaining:
-        k = _largest_full_level(remaining, modulus)
+    while len(remaining):
+        k = _largest_full_level(residue_histogram(remaining, modulus))
         piece, remaining = _extract_piece(remaining, k, modulus)
         pieces.append((k, piece))
     decomposition = UniversalDecomposition(tuple(pieces))
@@ -273,8 +273,8 @@ def universal_subset_of_size(
         levels.extend([k] * digit)
         k += 1
     levels.reverse()
-    remaining = set(index_set.elements)
-    collected: list[int] = []
+    remaining = index_set
+    collected: list[np.ndarray] = []
     for k in levels:
         # feasibility of every step after the first is not proved in
         # general; surface a failure loudly rather than silently
@@ -283,8 +283,8 @@ def universal_subset_of_size(
             piece, remaining = _extract_piece(remaining, k, modulus)
         except LookupError as exc:
             raise InfeasibleSizeError(d, cap) from exc
-        collected.extend(piece.elements)
-    result = IndexSet.of(modulus.n, collected)
+        collected.append(piece.array)
+    result = IndexSet.of(modulus.n, np.concatenate(collected))
     assert len(result) == d
     return result
 

@@ -1,0 +1,93 @@
+"""Pure-Python reference for the residue criterion and the greedy
+constructions.
+
+These are the package's original algorithms over tuples and sets: a
+histogram built by looping over every element at every level, the
+pairwise witness scan, and piece extraction with Python sets. They are
+slow but plainly correct, and the array versions are checked against
+them at sizes where enumerating subsets is impossible.
+"""
+
+
+def histogram(elements, p, m):
+    """levels[k][a] = number of elements congruent to a mod p^k."""
+    levels = []
+    for k in range(m + 1):
+        pk = p ** k
+        row = [0] * pk
+        for e in elements:
+            row[e % pk] += 1
+        levels.append(row)
+    return levels
+
+
+def verdict(levels):
+    """(universal, witness): the first (k, a, b) in scan order with
+    count(b) - count(a) >= 2, or None."""
+    for k, row in enumerate(levels):
+        if max(row) - min(row) <= 1:
+            continue
+        for a, ca in enumerate(row):
+            for b, cb in enumerate(row):
+                if cb - ca >= 2:
+                    return False, (k, a, b)
+    return True, None
+
+
+def valuation(levels):
+    """Pairs congruent mod p^k, summed over levels k >= 1."""
+    return sum(c * (c - 1) // 2 for row in levels[1:] for c in row)
+
+
+def _largest_full_level(elements, p, m):
+    k = 0
+    for k_try in range(1, m + 1):
+        pk = p ** k_try
+        if len({e % pk for e in elements}) < pk:
+            break
+        k = k_try
+    return k
+
+
+def _extract_piece(elements, k, p):
+    """(piece, remaining), or None when some class mod p^k is empty."""
+    pk = p ** k
+    chosen = {}
+    for e in sorted(elements):
+        chosen.setdefault(e % pk, e)
+    if len(chosen) < pk:
+        return None
+    shadow = {e % (pk * p) for e in chosen.values()}
+    remaining = {e for e in elements if e % (pk * p) not in shadow}
+    return tuple(sorted(chosen.values())), remaining
+
+
+def maximal(elements, p, m):
+    """Greedy pieces [(k, piece), ...] of a largest universal subset."""
+    remaining = set(elements)
+    pieces = []
+    while remaining:
+        k = _largest_full_level(remaining, p, m)
+        piece, remaining = _extract_piece(remaining, k, p)
+        pieces.append((k, piece))
+    return pieces
+
+
+def construct(elements, p, m, d):
+    """Universal subset of size d from the base-p digits of d, or None
+    when the input admits none."""
+    if d > sum(len(piece) for _, piece in maximal(elements, p, m)):
+        return None
+    levels, rest, k = [], d, 0
+    while rest:
+        rest, digit = divmod(rest, p)
+        levels.extend([k] * digit)
+        k += 1
+    remaining, collected = set(elements), []
+    for k in reversed(levels):
+        step = _extract_piece(remaining, k, p)
+        if step is None:
+            return None
+        piece, remaining = step
+        collected.extend(piece)
+    return tuple(sorted(collected))

@@ -1,4 +1,7 @@
 import json
+import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -106,10 +109,77 @@ class TestConstructions:
         assert code == 0 and obj["size"] == len(obj["example"])
 
 
+class TestLargeModulus:
+    """At N = 2^30 a small set costs memory in proportion to |I|; a
+    list over Z_N alone would take gigabytes."""
+
+    N = str(2 ** 30)
+
+    def run_small(self, capsys, *argv):
+        tracemalloc.start()
+        try:
+            result = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        return result
+
+    def test_check(self, capsys):
+        code, out, _ = self.run_small(capsys, "check", "-N", self.N, "-I", "0,1,5")
+        assert code == 0
+        assert json.loads(out) == {
+            "universal": False,
+            "witness": {"k": 2, "a": 2, "b": 1},
+            "criteria_agree": True,
+            "valuation_coprime": False,
+        }
+
+    def test_maximal(self, capsys):
+        code, out, _ = self.run_small(capsys, "maximal", "-N", self.N, "-I", "0,1,5,1048576")
+        assert code == 0
+        assert json.loads(out) == {
+            "size": 2,
+            "example": [0, 1],
+            "pieces": [{"k": 1, "indices": [0, 1]}],
+        }
+
+    def test_decompose(self, capsys):
+        code, out, _ = self.run_small(capsys, "decompose", "-N", self.N, "-I", "0,3,5")
+        assert code == 0
+        assert json.loads(out) == {
+            "pieces": [{"k": 1, "indices": [0, 3]}, {"k": 0, "indices": [5]}]
+        }
+        code, _, err = self.run_small(capsys, "decompose", "-N", self.N, "-I", "0,1,5")
+        assert code == 1
+        assert json.loads(err)["witness"] == {"k": 2, "a": 2, "b": 1}
+
+
 class TestCountingCommands:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "count", "-p", "2", "-M", "3", "-d", "4")
         assert code == 0 and out.strip() == "16"
+
+    def test_count_past_digit_limit(self, capsys):
+        """The count at N = 2^16, d = 32767 has 9,869 digits, more than
+        the interpreter prints by default."""
+        p, m, d = 2, 16, 32767
+        # every node of the congruence tree splits its count c evenly
+        # among its p children, in C(p, c mod p) ways
+        want = 1
+        for k in range(m):
+            q, r = divmod(d, p ** k)
+            want *= math.comb(p, (q + 1) % p) ** r * math.comb(p, q % p) ** (p ** k - r)
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "count", "-p", "2", "-M", "16", "-d", "32767")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{want}\n"
+            assert len(out) == 9869 + 1
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_count_brute_matches(self, capsys):
         _, direct, _ = run(capsys, "count", "-N", "9", "-d", "7")
