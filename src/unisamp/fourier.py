@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -68,14 +66,11 @@ class RankReport:
     smallest_singular_value: float
     largest_singular_value: float
     tolerance: float
+    order: int
 
     @property
     def full_rank(self) -> bool:
-        return self.numerical_rank == self._order
-
-    # order is implied by construction; stored privately to keep the
-    # report self-contained
-    _order: int = 0
+        return self.numerical_rank == self.order
 
 
 class SingularSystemError(ValueError):
@@ -131,7 +126,7 @@ def _rank_report(matrix: np.ndarray, tolerance: float) -> RankReport:
     smin = float(sv[-1]) if d else 0.0
     threshold = tolerance * max(matrix.shape) * smax
     rank = int(np.count_nonzero(sv > threshold))
-    return RankReport(rank, smin, smax, tolerance, _order=d)
+    return RankReport(rank, smin, smax, tolerance, d)
 
 
 def is_invertible(
@@ -140,59 +135,81 @@ def is_invertible(
     """Numerical invertibility of the (rows, cols) DFT submatrix.
 
     Full rank means the smallest singular value clears
-    tolerance * d * (largest singular value).
+    tolerance * d * (largest singular value); an empty one is full rank.
     """
     if len(rows) != len(cols):
         raise ValueError(
             f"need a square submatrix, got {len(rows)}x{len(cols)}"
         )
-    if len(rows) == 0:
-        return RankReport(0, 0.0, 0.0, tolerance, _order=0)
     return _rank_report(dft_submatrix(rows, cols, n).entries, tolerance)
 
 
-def _rotate_mask(mask: int, t: int, n: int) -> int:
-    full = (1 << n) - 1
-    t %= n
-    return ((mask >> t) | (mask << (n - t))) & full
+# Subsets per block of the column-class enumeration (sized to stay in
+# cache) and column sets per batched SVD; both bound the oracle's memory.
+_ENUM_CHUNK = 1 << 12
+_SVD_CHUNK = 256
 
 
-def _reflect_mask(mask: int, n: int) -> int:
-    out = 0
-    for i in range(n):
-        if mask >> i & 1:
-            out |= 1 << (-i % n)
-    return out
+def _canonical_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """Least image of each subset mask of Z_n under the 2n rotations and
+    reflections, compared as integers."""
+    shifts = np.arange(n).astype(masks.dtype)
+    bits = (masks[:, None] >> shifts) & 1
+    reflected = (bits << ((n - shifts) % n)).sum(axis=1)
+    both = np.stack([masks, reflected], axis=1)[:, :, None]
+    images = ((both >> shifts) | (both << (n - shifts))) & ((1 << n) - 1)
+    return images.reshape(len(masks), -1).min(axis=1)
 
 
-def _canonical_mask(mask: int, n: int) -> int:
-    best = mask
-    refl = _reflect_mask(mask, n)
-    for t in range(n):
-        best = min(best, _rotate_mask(mask, t, n), _rotate_mask(refl, t, n))
-    return best
-
-
-@lru_cache(maxsize=None)
-def _canonical_column_masks(n: int, d: int) -> tuple[int, ...]:
-    """One column-set representative per rotation/reflection class.
+@lru_cache(maxsize=64)
+def _canonical_column_masks(n: int, d: int) -> np.ndarray:
+    """One column-set representative per rotation/reflection class, as a
+    read-only array of bitmasks in increasing order.
 
     Translating the column set multiplies the submatrix by a unit
     diagonal on the right; negating it conjugates entrywise. Neither
     changes singular values, so one representative per class decides
-    invertibility for the whole class.
+    invertibility for the whole class. A subset represents its class
+    when its mask is the least of its 2n images.
+
+    Subsets are unranked from their colexicographic ranks (the sum of
+    C(c_i, i) over elements c_1 < ... < c_d) in blocks of _ENUM_CHUNK:
+    O(n * C(n, d)) vector work, O(n * _ENUM_CHUNK) memory beyond the result.
     """
+    dtype = np.uint64 if n <= 64 else object  # past 64 bits, Python ints
+    one = np.ones((), dtype=dtype)
+    total = math.comb(n, d)
+    tables = [np.array([min(math.comb(c, i), total) for c in range(n)])
+              for i in range(d, 0, -1)]
     reps = []
-    for combo in combinations(range(n), d):
-        mask = 0
-        for e in combo:
-            mask |= 1 << e
-        if _canonical_mask(mask, n) == mask:
-            reps.append(mask)
-    return tuple(reps)
+    for start in range(0, total, _ENUM_CHUNK):
+        rank = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
+        masks = np.zeros(len(rank), dtype=dtype)
+        for table in tables:
+            c = np.searchsorted(table, rank, side="right") - 1
+            rank -= table[c]
+            masks |= one << c.astype(dtype)
+        reps.append(masks[_canonical_masks(masks, n) == masks])
+    out = np.concatenate(reps)
+    out.flags.writeable = False
+    return out
 
 
-_ORACLE_CACHE: dict[tuple[int, int, float], bool] = {}
+@lru_cache(maxsize=1 << 14)
+def _oracle_verdict(n: int, row_mask: int, tolerance: float) -> bool:
+    """brute_force_universal for the canonical row set `row_mask`."""
+    rows = IndexSet.from_mask(n, row_mask)
+    d = len(rows)
+    base = dft_submatrix(rows, IndexSet.full(n), n).entries
+    reps = _canonical_column_masks(n, d)
+    shifts = np.arange(n).astype(reps.dtype)
+    for start in range(0, len(reps), _SVD_CHUNK):
+        block = reps[start : start + _SVD_CHUNK]
+        cols = np.nonzero((block[:, None] >> shifts) & 1)[1].reshape(-1, d)
+        sv = np.linalg.svd(np.moveaxis(base[:, cols], 1, 0), compute_uv=False)
+        if np.any(sv[:, -1] <= tolerance * d * sv[:, 0]):
+            return False
+    return True
 
 
 def brute_force_universal(
@@ -207,7 +224,8 @@ def brute_force_universal(
     rotation/reflection representatives (see _canonical_column_masks),
     and verdicts are cached per rotation/reflection class of the row set
     since translating or negating the rows also preserves singular
-    values.
+    values. Refuses more than `budget` column sets, which bounds both
+    time and memory.
     """
     if index_set.n != n:
         raise ValueError(f"index set lives in Z_{index_set.n}, not Z_{n}")
@@ -220,30 +238,8 @@ def brute_force_universal(
             f"C({n},{d}) = {total} column sets exceeds the enumeration "
             f"budget of {budget}"
         )
-    key = (n, _canonical_mask(index_set.mask(), n), tolerance)
-    cached = _ORACLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rows = IndexSet.from_mask(n, key[1])
-    f = dft_matrix(n)
-    base = f[rows.array, :]
-    reps = _canonical_column_masks(n, d)
-    verdict = True
-    chunk = 256
-    for start in range(0, len(reps), chunk):
-        block = reps[start : start + chunk]
-        mats = np.stack(
-            [
-                base[:, [i for i in range(n) if mask >> i & 1]]
-                for mask in block
-            ]
-        )
-        sv = np.linalg.svd(mats, compute_uv=False)
-        if np.any(sv[:, -1] <= tolerance * d * sv[:, 0]):
-            verdict = False
-            break
-    _ORACLE_CACHE[key] = verdict
-    return verdict
+    mask = np.array([index_set.mask()], dtype=np.uint64 if n <= 64 else object)
+    return _oracle_verdict(n, int(_canonical_masks(mask, n)[0]), tolerance)
 
 
 def interpolate(
@@ -253,9 +249,12 @@ def interpolate(
     """Unique signal with spectrum confined to `support` matching the
     given samples on `sample_set`.
 
-    Solves (E_I^T F* E_J) c = samples by LU with partial pivoting plus
-    one step of iterative refinement (clustered supports make these
-    systems ill-conditioned), then synthesizes f = F* E_J c.
+    Builds only the d x d system A = E_I^T F* E_J, the conjugate of the
+    DFT submatrix whose singular values gate it as in is_invertible;
+    solves A c = samples by LU with partial pivoting plus one step of
+    iterative refinement (clustered supports make these systems
+    ill-conditioned); synthesizes f = F* E_J c as N * ifft of c placed
+    on J. Memory is O(N + d^2).
     """
     d = len(sample_set)
     if len(support) != d:
@@ -265,15 +264,17 @@ def interpolate(
     b = np.asarray(list(samples), dtype=np.complex128)
     if b.shape != (d,):
         raise ValueError(f"expected {d} sample values, got shape {b.shape}")
-    report = is_invertible(sample_set, support, n, tolerance)
+    entries = dft_submatrix(sample_set, support, n).entries
+    report = _rank_report(entries, tolerance)
     if not report.full_rank:
         raise SingularSystemError(report)
-    r_full = dft_matrix(n).conj()[:, support.array]
-    a = r_full[sample_set.array, :]
+    a = entries.conj()
     lu, piv = scipy.linalg.lu_factor(a)
     c = scipy.linalg.lu_solve((lu, piv), b)
     c += scipy.linalg.lu_solve((lu, piv), b - a @ c)  # one refinement pass
-    return Signal.of(r_full @ c)
+    spectrum = np.zeros(n, dtype=np.complex128)
+    spectrum[support.array] = c
+    return Signal.of(n * np.fft.ifft(spectrum))
 
 
 def interpolating_basis(
@@ -321,10 +322,8 @@ def condition_report(sample_set: IndexSet, support: IndexSet, n: int) -> Conditi
         )
     sv = np.linalg.svd(dft_submatrix(sample_set, support, n).entries, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    log_p = 0.0
-    for j1 in support.elements:
-        for j2 in support.elements:
-            if j1 != j2:
-                log_p += math.log(abs(2.0 * math.sin(math.pi * (j1 - j2) / n)))
+    j = support.array
+    diff = np.subtract.outer(j, j)[~np.eye(d, dtype=bool)]
+    log_p = float(np.log(np.abs(2.0 * np.sin(np.pi * diff / n))).sum())
     bound = math.sqrt(d) * math.exp(-log_p / (2 * d)) if d > 1 else 1.0
     return ConditionReport(cond, bound)

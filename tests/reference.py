@@ -1,12 +1,16 @@
-"""Pure-Python reference for the residue criterion and the greedy
-constructions.
+"""Pure-Python reference for the residue criterion, the greedy
+constructions, the oracle's column classes and the condition bound.
 
-These are the package's original algorithms over tuples and sets: a
-histogram built by looping over every element at every level, the
-pairwise witness scan, and piece extraction with Python sets. They are
-slow but plainly correct, and the array versions are checked against
-them at sizes where enumerating subsets is impossible.
+These are the package's original algorithms over tuples, sets and
+Python-int bitmasks: a histogram built by looping over every element at
+every level, the pairwise witness scan, piece extraction with Python
+sets, a per-subset dihedral canonicalizer and a double loop over
+pairs. They are slow but plainly correct, and the array versions are
+checked against them.
 """
+
+import math
+from itertools import combinations
 
 
 def histogram(elements, p, m):
@@ -91,3 +95,50 @@ def construct(elements, p, m, d):
         piece, remaining = step
         collected.extend(piece)
     return tuple(sorted(collected))
+
+
+def rotate_mask(mask, t, n):
+    full = (1 << n) - 1
+    t %= n
+    return ((mask >> t) | (mask << (n - t))) & full
+
+
+def reflect_mask(mask, n):
+    out = 0
+    for i in range(n):
+        if mask >> i & 1:
+            out |= 1 << (-i % n)
+    return out
+
+
+def canonical_mask(mask, n):
+    """Least mask over the 2n rotations and reflections of Z_n."""
+    best = mask
+    refl = reflect_mask(mask, n)
+    for t in range(n):
+        best = min(best, rotate_mask(mask, t, n), rotate_mask(refl, t, n))
+    return best
+
+
+def canonical_column_masks(n, d):
+    """Masks of the d-subsets of Z_n that are their class's least member,
+    in lexicographic order of the subsets."""
+    reps = []
+    for combo in combinations(range(n), d):
+        mask = 0
+        for e in combo:
+            mask |= 1 << e
+        if canonical_mask(mask, n) == mask:
+            reps.append(mask)
+    return tuple(reps)
+
+
+def sine_product_log(support, n):
+    """log of prod over ordered pairs j1 != j2 of |2 sin(pi*(j1-j2)/n)|,
+    summed term by term."""
+    total = 0.0
+    for j1 in support:
+        for j2 in support:
+            if j1 != j2:
+                total += math.log(abs(2.0 * math.sin(math.pi * (j1 - j2) / n)))
+    return total

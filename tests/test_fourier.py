@@ -1,16 +1,21 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from unisamp import (
     IndexSet,
     Signal,
     SingularSystemError,
+    act,
+    bracelet_count,
     brute_force_universal,
     condition_report,
     dft_matrix,
@@ -22,6 +27,7 @@ from unisamp import (
     is_universal,
     PrimePowerModulus,
 )
+from unisamp.fourier import _canonical_column_masks, _oracle_verdict
 
 
 def iset(n, elems):
@@ -59,6 +65,12 @@ class TestIsInvertible:
 
     def test_one_by_one(self):
         assert is_invertible(iset(12, [5]), iset(12, [7]), 12).full_rank
+
+    def test_report_records_order(self):
+        r = is_invertible(iset(4, [0, 2]), iset(4, [0, 2]), 4)
+        assert (r.numerical_rank, r.order) == (1, 2)
+        empty = is_invertible(iset(8, []), iset(8, []), 8)
+        assert (empty.order, empty.full_rank) == (0, True)
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
@@ -109,6 +121,34 @@ class TestBruteForceUniversal:
             s = iset(n, rng.sample(range(n), d))
             assert brute_force_universal(s, n) == is_universal(s, modulus).is_universal
 
+    def test_rotated_reflected_rows_hit_cache(self):
+        rows = iset(12, [0, 1, 4, 6, 9])
+        verdict = brute_force_universal(rows, 12)
+        before = _oracle_verdict.cache_info()
+        assert brute_force_universal(act(rows, 5, reflect=True), 12) == verdict
+        after = _oracle_verdict.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+class TestColumnClasses:
+    """Array column-class representatives against the per-subset
+    Python canonicalizer in tests/reference.py."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_equal_reference(self, n):
+        for d in range(1, n + 1):
+            got = _canonical_column_masks(n, d).tolist()
+            assert got == sorted(reference.canonical_column_masks(n, d)), d
+
+    @pytest.mark.parametrize("n,d", [(66, 2), (66, 64), (70, 1)])
+    def test_equal_reference_past_64_bits(self, n, d):
+        got = _canonical_column_masks(n, d).tolist()
+        assert got == sorted(reference.canonical_column_masks(n, d))
+
+    @pytest.mark.parametrize("n,d", [(18, 9), (20, 10), (22, 11)])
+    def test_count_is_bracelet_count(self, n, d):
+        assert len(_canonical_column_masks(n, d)) == bracelet_count(n, d)
+
 
 class TestInterpolate:
     def test_dc_only(self):
@@ -149,6 +189,47 @@ class TestInterpolate:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             interpolate([1.0], iset(8, [0]), iset(8, [0, 1]), 8)
+
+    def test_empty_system(self):
+        got = interpolate([], iset(8, []), iset(8, []), 8)
+        assert got == Signal.of([0] * 8)
+
+    @pytest.mark.parametrize("n,d", [(8, 3), (16, 5), (64, 9), (256, 24)])
+    def test_matches_dense_synthesis(self, n, d):
+        """Same coefficients as the N x N formula f = F*[:, J] c."""
+        rng = np.random.default_rng(n)
+        f_star = dft_matrix(n).conj()
+        checked = 0
+        for _ in range(10):
+            i, j = (np.sort(rng.permutation(n)[:d]) for _ in range(2))
+            if not is_invertible(iset(n, i), iset(n, j), n).full_rank:
+                continue
+            b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            a = f_star[np.ix_(i, j)]
+            lu = scipy.linalg.lu_factor(a)
+            c = scipy.linalg.lu_solve(lu, b)
+            c += scipy.linalg.lu_solve(lu, b - a @ c)
+            want = f_star[:, j] @ c
+            got = interpolate(b, iset(n, i), iset(n, j), n).as_array()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            checked += 1
+        assert checked
+
+    def test_large_system_memory_bound(self):
+        n, d = 8192, 1024
+        rng = np.random.default_rng(8192)
+        spectrum = np.zeros(n, dtype=np.complex128)
+        spectrum[:d] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        f = np.fft.ifft(spectrum)
+        tracemalloc.start()
+        try:
+            got = interpolate(f[:: n // d], iset(n, range(0, n, n // d)),
+                              iset(n, range(d)), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2 ** 20
+        assert np.linalg.norm(got.as_array() - f) <= 1e-9 * np.linalg.norm(f)
 
 
 class TestInterpolatingBasis:
@@ -234,6 +315,14 @@ class TestConditionReport:
     def test_requires_block(self):
         with pytest.raises(ValueError, match="0:d-1"):
             condition_report(iset(8, [1, 2]), iset(8, [0, 1]), 8)
+
+    def test_bound_matches_pairwise_loop(self):
+        n, d = 4096, 512
+        support = sorted(np.random.default_rng(4096).permutation(n)[:d].tolist())
+        r = condition_report(iset(n, range(d)), iset(n, support), n)
+        log_p = reference.sine_product_log(support, n)
+        want = math.sqrt(d) * math.exp(-log_p / (2 * d))
+        assert r.lower_bound == pytest.approx(want, rel=1e-11)
 
 
 class TestSignal:
