@@ -54,7 +54,6 @@ from .fourier import (
     SingularSystemError,
     brute_force_universal,
     condition_report,
-    dft_matrix,
     dft_submatrix,
     find_sampling_set,
     interpolate,

@@ -319,11 +319,16 @@ def _run(args) -> int:
         samples_obj = _load_json(args.samples)
         support_obj = _load_json(args.support)
         try:
-            sample_set = IndexSet.of(args.N, samples_obj["indices"])
+            indices = samples_obj["indices"]
+            sample_set = IndexSet.of(args.N, indices)
             values = [complex(re, im) for re, im in samples_obj["values"]]
             support = IndexSet.from_json(support_obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad samples/support JSON: {exc}")
+        if len(values) != len(indices):
+            raise UsageError(f"{len(indices)} sample indices but {len(values)} values")
+        # interpolate takes the values in increasing index order
+        values = [v for _, v in sorted(zip(indices, values), key=lambda iv: int(iv[0]))]
         if support.n != args.N:
             raise UsageError(
                 f"support file declares n={support.n}, command line says N={args.N}"

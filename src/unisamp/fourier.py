@@ -4,6 +4,9 @@ bandlimited interpolation.
 Everything here is the analytic side of the story: invertibility of
 row/column submatrices of the N-point DFT decided numerically, which
 serves as the independent ground truth for the combinatorial criteria.
+
+Only numpy is imported at load time. scipy is needed by
+find_sampling_set alone and is imported on its first call.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .index_core import IndexSet
 
@@ -247,14 +249,15 @@ def interpolate(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Signal:
     """Unique signal with spectrum confined to `support` matching the
-    given samples on `sample_set`.
+    given samples on `sample_set`; samples[k] is the value at the k-th
+    smallest element of `sample_set`.
 
     Builds only the d x d system A = E_I^T F* E_J, the conjugate of the
     DFT submatrix whose singular values gate it as in is_invertible;
-    solves A c = samples by LU with partial pivoting plus one step of
-    iterative refinement (clustered supports make these systems
-    ill-conditioned); synthesizes f = F* E_J c as N * ifft of c placed
-    on J. Memory is O(N + d^2).
+    solves A c = samples by LU with partial pivoting (numpy's gesv)
+    plus one step of iterative refinement (clustered supports make
+    these systems ill-conditioned); synthesizes f = F* E_J c as
+    N * ifft of c placed on J. Memory is O(N + d^2).
     """
     d = len(sample_set)
     if len(support) != d:
@@ -269,9 +272,8 @@ def interpolate(
     if not report.full_rank:
         raise SingularSystemError(report)
     a = entries.conj()
-    lu, piv = scipy.linalg.lu_factor(a)
-    c = scipy.linalg.lu_solve((lu, piv), b)
-    c += scipy.linalg.lu_solve((lu, piv), b - a @ c)  # one refinement pass
+    c = np.linalg.solve(a, b)
+    c += np.linalg.solve(a, b - a @ c)  # one refinement pass
     spectrum = np.zeros(n, dtype=np.complex128)
     spectrum[support.array] = c
     return Signal.of(n * np.fft.ifft(spectrum))
@@ -294,6 +296,7 @@ def interpolating_basis(
 def find_sampling_set(basis_matrix, tolerance: float = DEFAULT_TOLERANCE) -> IndexSet:
     """Pick d rows of an N x d rank-d matrix forming a well-conditioned
     square submatrix, by pivoted QR on the transpose."""
+    import scipy.linalg  # the only scipy use; kept off the import path
     r = np.asarray(basis_matrix, dtype=np.complex128)
     n, d = r.shape
     _, rq, piv = scipy.linalg.qr(r.T.conj(), pivoting=True, mode="economic")
@@ -320,6 +323,8 @@ def condition_report(sample_set: IndexSet, support: IndexSet, n: int) -> Conditi
         raise ValueError(
             f"sample set size {d} must match support size {len(support)}"
         )
+    if d == 0:
+        raise ValueError("the condition number needs a nonempty support")
     sv = np.linalg.svd(dft_submatrix(sample_set, support, n).entries, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     j = support.array

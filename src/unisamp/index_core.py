@@ -354,6 +354,8 @@ def bracelet_count(n: int, d: int) -> int:
     reflection term is half a single binomial depending on the parities
     of n and d.
     """
+    if n < 1:
+        raise ValueError(f"ambient size must be >= 1, got {n}")
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     g = math.gcd(n, d) if d else n

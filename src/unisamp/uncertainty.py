@@ -9,7 +9,6 @@ quantify that through Omega and Phi.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -159,9 +158,6 @@ class RandomExperimentSummary:
             "prng": self.prng,
             "parameters": self.parameters,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

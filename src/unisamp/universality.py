@@ -10,7 +10,6 @@ universal subsets, and decompositions into elementary pieces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,9 +36,6 @@ class UniversalityVerdict:
             out["witness"] = {"k": k, "a": a, "b": b}
         return out
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
 
 @dataclass(frozen=True)
 class UniversalDecomposition:
@@ -61,9 +57,6 @@ class UniversalDecomposition:
                 {"k": k, "indices": piece.array.tolist()} for k, piece in self.pieces
             ]
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)

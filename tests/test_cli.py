@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from unisamp.cli import main, parse_indices
+from unisamp.cli import build_parser, main, parse_indices
 
 
 def run(capsys, *argv):
@@ -200,6 +204,11 @@ class TestCountingCommands:
         code, out, _ = run(capsys, "bracelets", "-n", "6", "--count", "2")
         assert code == 0 and out.strip() == "3"
 
+    def test_bracelets_empty_ambient_usage_error(self, capsys):
+        code, out, err = run(capsys, "bracelets", "-n", "0", "--count", "0")
+        assert code == 2 and out == ""
+        assert "ambient size must be >= 1" in err
+
     def test_bracelets_canonical(self, capsys):
         code, out, _ = run(capsys, "bracelets", "-n", "12", "--canonical", "1,4,6,11")
         obj = json.loads(out)
@@ -244,11 +253,55 @@ class TestAnalysisCommands:
         got = np.array([complex(re, im) for re, im in json.loads(out)["values"]])
         assert np.linalg.norm(got - f) / np.linalg.norm(f) < 1e-8
 
+    def test_interpolate_shuffled_indices(self, capsys, tmp_path):
+        """Values are paired with their own indices, whatever the file order."""
+        import numpy as np
+
+        n, support = 16, [1, 2, 5, 11]
+        rng = np.random.default_rng(11)
+        spectrum = np.zeros(n, dtype=np.complex128)
+        spectrum[support] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        f = np.fft.ifft(spectrum)
+        sample_idx = [9, 0, 14, 3]
+        samples_file = tmp_path / "samples.json"
+        samples_file.write_text(json.dumps({
+            "n": n, "indices": sample_idx,
+            "values": [[f[i].real, f[i].imag] for i in sample_idx],
+        }))
+        support_file = tmp_path / "support.json"
+        support_file.write_text(json.dumps({"n": n, "indices": support}))
+        code, out, _ = run(
+            capsys, "interpolate", "-N", str(n),
+            "--samples", str(samples_file), "--support", str(support_file),
+        )
+        assert code == 0
+        got = np.array([complex(re, im) for re, im in json.loads(out)["values"]])
+        assert np.abs(got - f).max() < 1e-12
+
+    def test_interpolate_length_mismatch(self, capsys, tmp_path):
+        samples_file = tmp_path / "samples.json"
+        samples_file.write_text(
+            json.dumps({"n": 8, "indices": [0, 3], "values": [[1.0, 0.0]]})
+        )
+        support_file = tmp_path / "support.json"
+        support_file.write_text(json.dumps({"n": 8, "indices": [1, 2]}))
+        code, out, err = run(
+            capsys, "interpolate", "-N", "8",
+            "--samples", str(samples_file), "--support", str(support_file),
+        )
+        assert code == 2 and out == ""
+        assert "2 sample indices but 1 values" in err
+
     def test_condition(self, capsys):
         code, out, _ = run(capsys, "condition", "-N", "64", "-J", "0,8,16,24,32,40,48,56")
         obj = json.loads(out)
         assert code == 0
         assert obj["condition_number"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_condition_empty_support_usage_error(self, capsys):
+        code, out, err = run(capsys, "condition", "-N", "8", "-J", "")
+        assert code == 2 and out == ""
+        assert "nonempty support" in err
 
     def test_uncertainty(self, capsys, tmp_path):
         sig = tmp_path / "sig.json"
@@ -276,3 +329,74 @@ class TestAnalysisCommands:
         )
         obj = json.loads(out)
         assert code == 0 and obj["trials"] == 10
+
+
+# Runs in a fresh interpreter where `import scipy` fails, writes the
+# input files into the directory given as argv[1], runs one small valid
+# call of every subcommand and prints the exit codes and the top-level
+# modules that the import and the calls loaded.
+_NUMPY_ONLY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+before = set(sys.modules)
+import unisamp
+from unisamp.cli import main
+
+tmp = sys.argv[1]
+with open(tmp + "/samples.json", "w") as fh:
+    json.dump({"n": 8, "indices": [4, 0], "values": [[1, 0], [0, 1]]}, fh)
+with open(tmp + "/support.json", "w") as fh:
+    json.dump({"n": 8, "indices": [1, 2]}, fh)
+with open(tmp + "/signal.json", "w") as fh:
+    json.dump({"n": 8, "values": [[1, 0]] + [[0, 0]] * 7}, fh)
+calls = [
+    ["check", "-N", "8", "-I", "0,1,3,4,6"],
+    ["maximal", "-N", "32", "-I", "0..4,6..10,12,14,15"],
+    ["minimal", "-N", "9", "-I", "0,1,2,3,6"],
+    ["construct", "-N", "16", "-I", "0..9", "--size", "5"],
+    ["decompose", "-N", "8", "-I", "0,1,3,4,6"],
+    ["count", "-p", "2", "-M", "3", "-d", "4"],
+    ["entropy", "-p", "2", "-M", "3", "--resolution", "3"],
+    ["bracelets", "-n", "6", "--count", "2"],
+    ["oracle", "-N", "8", "-I", "0,1,3,4,6"],
+    ["interpolate", "-N", "8", "--samples", tmp + "/samples.json",
+     "--support", tmp + "/support.json"],
+    ["condition", "-N", "16", "-J", "0,4,8,12"],
+    ["uncertainty", "-N", "8", "--signal", tmp + "/signal.json"],
+    ["rand-maximal", "-p", "3", "-M", "2", "-s", "9", "-d", "3",
+     "--delta", "0.5", "--trials", "5", "--seed", "1"],
+    ["rand-signal", "-p", "2", "-M", "6", "-r", "2", "--delta", "1.0",
+     "--trials", "10", "--seed", "3"],
+    ["sumset", "-N", "8", "-X", "0,1", "-Y", "0,4", "--check"],
+]
+codes = {}
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[argv[0]] = main(argv)
+loaded = sorted({name.split(".")[0] for name in set(sys.modules) - before})
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """scipy is needed by find_sampling_set alone, so no command path
+    may import it: each call in the script succeeds with `import scipy`
+    failing, and nothing outside the standard library, numpy and unisamp
+    loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    usage = build_parser().format_usage()
+    commands = re.search(r"\{(.+)\}", usage).group(1).split(",")
+    assert len(commands) == 15
+    assert report["codes"] == {cmd: 0 for cmd in commands}
+    # numpy.random's compiled extensions register two Cython runtime modules
+    allowed = set(sys.stdlib_module_names) | {"numpy", "unisamp", "cython_runtime"}
+    assert [
+        m for m in report["loaded"] if m not in allowed and not m.startswith("_cython_")
+    ] == []

@@ -18,7 +18,6 @@ from unisamp import (
     bracelet_count,
     brute_force_universal,
     condition_report,
-    dft_matrix,
     dft_submatrix,
     find_sampling_set,
     interpolate,
@@ -27,7 +26,7 @@ from unisamp import (
     is_universal,
     PrimePowerModulus,
 )
-from unisamp.fourier import _canonical_column_masks, _oracle_verdict
+from unisamp.fourier import _canonical_column_masks, _oracle_verdict, dft_matrix
 
 
 def iset(n, elems):
