@@ -74,16 +74,22 @@ class PrimePowerModulus:
 
 
 def _int_array(values) -> np.ndarray:
-    """A new one-dimensional int64 array of the given integers."""
+    """A new one-dimensional int64 array of the given integers. Values of
+    any other type (0.5, 2.0, "3", True) are refused, not truncated."""
     if not isinstance(values, (np.ndarray, list, tuple)):
         values = list(values)
-    try:
-        arr = np.array(values, dtype=np.int64)
-    except (OverflowError, TypeError) as exc:
-        raise ValueError(f"indices must be integers: {exc}") from None
+    arr = np.array(values)  # a new array, also from an array
+    if arr.dtype.kind != "i":
+        if arr.size and arr.dtype.kind not in "uO":
+            raise ValueError(f"indices must be integers, got {arr.dtype} values")
+        try:
+            # ints past int64 arrive as uint64 or object: cast the input to report it
+            arr = np.array(values, dtype=np.int64)
+        except (OverflowError, TypeError) as exc:
+            raise ValueError(f"indices must be integers: {exc}") from None
     if arr.ndim != 1:
         raise ValueError("indices must form a flat list")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 class IndexSet:

@@ -51,10 +51,15 @@ def support_profile(signal: Signal, tolerance: Optional[float] = None) -> Suppor
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """The inequality lhs >= rhs."""
+
     name: str
     lhs: int
     rhs: int
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs >= self.rhs
 
 
 @dataclass(frozen=True)
@@ -100,29 +105,16 @@ def verify_uncertainty(
     def phi(s: IndexSet) -> int:
         return minimal_universal(s, modulus).size
 
-    checks = (
-        BoundCheck(
-            "spectrum support vs zero-set Omega",
-            len(freq.support), 1 + omega(time.zero_set),
-            len(freq.support) >= 1 + omega(time.zero_set),
-        ),
-        BoundCheck(
-            "signal support vs spectral zero-set Omega",
-            len(time.support), 1 + omega(freq.zero_set),
-            len(time.support) >= 1 + omega(freq.zero_set),
-        ),
-        BoundCheck(
-            "support Phi vs spectral zero count",
-            phi(time.support), len(freq.zero_set) + 1,
-            len(freq.zero_set) + 1 <= phi(time.support),
-        ),
-        BoundCheck(
-            "spectral support Phi vs zero count",
-            phi(freq.support), len(time.zero_set) + 1,
-            len(time.zero_set) + 1 <= phi(freq.support),
-        ),
-    )
-    return UncertaintyReport(checks)
+    return UncertaintyReport((
+        BoundCheck("spectrum support vs zero-set Omega",
+                   len(freq.support), 1 + omega(time.zero_set)),
+        BoundCheck("signal support vs spectral zero-set Omega",
+                   len(time.support), 1 + omega(freq.zero_set)),
+        BoundCheck("support Phi vs spectral zero count",
+                   phi(time.support), len(freq.zero_set) + 1),
+        BoundCheck("spectral support Phi vs zero count",
+                   phi(freq.support), len(time.zero_set) + 1),
+    ))
 
 
 @dataclass(frozen=True)

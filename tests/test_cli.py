@@ -331,6 +331,65 @@ class TestAnalysisCommands:
         assert code == 0 and obj["trials"] == 10
 
 
+class TestExitCodes:
+    """Which exceptions exit 1 (a failed mathematical check) and which
+    exit 2 (a usage error)."""
+
+    def test_interpolate_singular_exits_one(self, capsys, tmp_path):
+        samples_file = tmp_path / "samples.json"
+        samples_file.write_text(
+            json.dumps({"n": 8, "indices": [0, 4], "values": [[1.0, 0.0], [0.0, 1.0]]})
+        )
+        support_file = tmp_path / "support.json"
+        support_file.write_text(json.dumps({"n": 8, "indices": [0, 2]}))
+        code, out, err = run(
+            capsys, "interpolate", "-N", "8",
+            "--samples", str(samples_file), "--support", str(support_file),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("singular system")
+
+    def test_construct_size_zero_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "construct", "-N", "8", "-I", "0,2,4,6", "--size", "0"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: target size 0")
+
+    def test_uncertainty_signal_length_mismatch(self, capsys, tmp_path):
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps({"n": 9, "values": [[1, 0]] * 9}))
+        code, out, err = run(capsys, "uncertainty", "-N", "8", "--signal", str(sig))
+        assert code == 2 and out == ""
+        assert "signal length 9 does not match N=8" in err
+
+
+class TestNonIntegerIndices:
+    """Fractional or float-typed indices are refused, never truncated."""
+
+    @pytest.mark.parametrize("indices", [[0.5, 1.7, 3.9], [2.0]])
+    def test_index_file(self, capsys, tmp_path, indices):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"n": 8, "indices": indices}))
+        code, out, err = run(capsys, "check", "-N", "8", "-I", f"@{path}")
+        assert code == 2 and out == ""
+        assert "indices must be integers" in err
+
+    def test_interpolate_sample_indices(self, capsys, tmp_path):
+        samples_file = tmp_path / "samples.json"
+        samples_file.write_text(
+            json.dumps({"n": 8, "indices": [0, 1.5], "values": [[1.0, 0.0], [0.0, 1.0]]})
+        )
+        support_file = tmp_path / "support.json"
+        support_file.write_text(json.dumps({"n": 8, "indices": [0, 2]}))
+        code, out, err = run(
+            capsys, "interpolate", "-N", "8",
+            "--samples", str(samples_file), "--support", str(support_file),
+        )
+        assert code == 2 and out == ""
+        assert "indices must be integers" in err
+
+
 # Runs in a fresh interpreter where `import scipy` fails, writes the
 # input files into the directory given as argv[1], runs one small valid
 # call of every subcommand and prints the exit codes and the top-level

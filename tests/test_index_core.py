@@ -65,6 +65,22 @@ class TestIndexSet:
         with pytest.raises(ValueError, match="indices"):
             IndexSet.from_json({"n": 8})
 
+    def test_rejects_non_integers(self):
+        for bad in ([0.5], [2.0], ["3"], [True]):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                IndexSet.of(8, bad)
+        with pytest.raises(ValueError, match="indices must be integers"):
+            IndexSet(8, (0.5, 1.5))
+
+    def test_accepts_integer_inputs(self):
+        import numpy as np
+
+        assert len(IndexSet.of(8, [])) == 0
+        assert len(IndexSet.of(8, np.asarray([]))) == 0
+        for ints in ([3, 1], (1, 3), range(1, 4, 2), np.array([3, 1], dtype=np.int32),
+                     np.array([3, 1], dtype=np.uint8), [np.int64(3), 1]):
+            assert IndexSet.of(8, ints).elements == (1, 3)
+
     def test_complement_and_mask(self):
         s = IndexSet.of(6, [0, 2, 5])
         assert s.complement().elements == (1, 3, 4)
