@@ -11,64 +11,42 @@ and sumset bounds. A brute-force Fourier-submatrix rank oracle provides
 the independent ground truth at small N.
 """
 
-from .index_core import (
-    BraceletClass,
-    IndexSet,
-    PrimePowerModulus,
-    ResidueHistogram,
-    act,
-    bracelet_canonical,
-    bracelet_count,
-    chi_star,
-    digit_reverse,
-    dispersion,
-    residue_histogram,
-)
-from .universality import (
-    InfeasibleSizeError,
-    MaximalResult,
-    MinimalResult,
-    NotUniversalError,
-    SchurValuation,
-    UniversalDecomposition,
-    UniversalityVerdict,
-    decompose,
-    is_universal,
-    is_universal_via_chi_star,
-    is_universal_via_dispersion,
-    maximal_universal,
-    minimal_universal,
-    schur_valuation,
-    universal_subset_of_size,
-)
-from .counting import (
-    BasePExpansion,
-    base_p_expansion,
-    count_by_brute_force,
-    count_universal,
-    entropy_curve,
-)
-from .fourier import (
-    RankReport,
-    Signal,
-    SingularSystemError,
-    brute_force_universal,
-    condition_report,
-    dft_submatrix,
-    find_sampling_set,
-    interpolate,
-    interpolating_basis,
-    is_invertible,
-)
-from .uncertainty import (
-    RandomExperimentSummary,
-    SupportProfile,
-    cauchy_davenport_check,
-    random_maximal_experiment,
-    random_signal_uncertainty,
-    sumset,
-    support_profile,
-    verify_uncertainty,
-)
+import importlib
 
+# Each public name and the module that defines it. Names load on first
+# access (PEP 562), so the integer-only modules `base` and `counting`
+# can be used without importing numpy.
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "base": "InfeasibleSizeError NotUniversalError PrimePowerModulus "
+        "SingularSystemError",
+        "index_core": "BraceletClass IndexSet ResidueHistogram act "
+        "bracelet_canonical chi_star digit_reverse dispersion residue_histogram",
+        "universality": "MaximalResult MinimalResult SchurValuation "
+        "UniversalDecomposition UniversalityVerdict decompose is_universal "
+        "is_universal_via_chi_star is_universal_via_dispersion maximal_universal "
+        "minimal_universal schur_valuation universal_subset_of_size",
+        "counting": "BasePExpansion base_p_expansion bracelet_count "
+        "count_by_brute_force count_universal entropy_curve",
+        "fourier": "RankReport Signal brute_force_universal condition_report "
+        "dft_submatrix find_sampling_set interpolate interpolating_basis "
+        "is_invertible",
+        "uncertainty": "RandomExperimentSummary SupportProfile "
+        "cauchy_davenport_check random_maximal_experiment "
+        "random_signal_uncertainty sumset support_profile verify_uncertainty",
+    }.items()
+    for name in names.split()
+}
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,38 +14,13 @@ import argparse
 import json
 import sys
 
-from .index_core import (
-    IndexSet,
-    PrimePowerModulus,
-    bracelet_canonical,
-    bracelet_count,
+# Only the numpy-free modules load here; each handler that needs numpy
+# imports its library names when it runs.
+from .base import (
+    InfeasibleSizeError, NotUniversalError, PrimePowerModulus, SingularSystemError
 )
-from .universality import (
-    InfeasibleSizeError,
-    NotUniversalError,
-    decompose,
-    is_universal,
-    is_universal_via_chi_star,
-    is_universal_via_dispersion,
-    maximal_universal,
-    minimal_universal,
-    schur_valuation,
-    universal_subset_of_size,
-)
-from .counting import count_by_brute_force, count_universal, entropy_curve
-from .fourier import (
-    Signal,
-    SingularSystemError,
-    brute_force_universal,
-    condition_report,
-    interpolate,
-)
-from .uncertainty import (
-    cauchy_davenport_check,
-    random_maximal_experiment,
-    random_signal_uncertainty,
-    sumset,
-    verify_uncertainty,
+from .counting import (
+    bracelet_count, count_by_brute_force, count_universal, entropy_curve
 )
 
 
@@ -75,6 +50,8 @@ def parse_indices(text: str) -> list[int]:
 
 def parse_index_set(text: str, n: int) -> IndexSet:
     """Inline comma list / ranges, or @file holding index-set JSON."""
+    from .index_core import IndexSet
+
     if text.startswith("@"):
         iset = IndexSet.from_json(_load_json(text[1:]))
         if iset.n != n:
@@ -201,6 +178,11 @@ def _residue_input(args) -> tuple[IndexSet, PrimePowerModulus]:
 
 
 def _check(args) -> int:
+    from .universality import (
+        is_universal, is_universal_via_chi_star, is_universal_via_dispersion,
+        schur_valuation,
+    )
+
     iset, modulus = _residue_input(args)
     verdict = is_universal(iset, modulus)
     out = verdict.to_json()
@@ -219,6 +201,8 @@ def _check(args) -> int:
 
 
 def _maximal(args) -> int:
+    from .universality import maximal_universal
+
     result = maximal_universal(*_residue_input(args))
     _emit(
         {
@@ -231,18 +215,24 @@ def _maximal(args) -> int:
 
 
 def _minimal(args) -> int:
+    from .universality import minimal_universal
+
     result = minimal_universal(*_residue_input(args))
     _emit({"size": result.size, "example": result.example.array.tolist()})
     return 0
 
 
 def _construct(args) -> int:
+    from .universality import universal_subset_of_size
+
     result = universal_subset_of_size(*_residue_input(args), args.size)
     _emit(result.to_json())
     return 0
 
 
 def _decompose(args) -> int:
+    from .universality import decompose
+
     decomposition = decompose(*_residue_input(args))
     _emit(decomposition.to_json())
     return 0
@@ -277,6 +267,8 @@ def _bracelets(args) -> int:
     if args.count is not None:
         print(bracelet_count(args.n, args.count))
     else:
+        from .index_core import bracelet_canonical
+
         iset = parse_index_set(args.canonical, args.n)
         cls = bracelet_canonical(iset)
         _emit(
@@ -289,12 +281,17 @@ def _bracelets(args) -> int:
 
 
 def _oracle(args) -> int:
+    from .fourier import brute_force_universal
+
     iset = parse_index_set(args.I, args.N)
     _emit({"universal": brute_force_universal(iset, args.N, args.tolerance)})
     return 0
 
 
 def _interpolate(args) -> int:
+    from .fourier import interpolate
+    from .index_core import IndexSet
+
     samples_obj = _load_json(args.samples)
     support_obj = _load_json(args.support)
     try:
@@ -318,6 +315,9 @@ def _interpolate(args) -> int:
 
 
 def _condition(args) -> int:
+    from .fourier import condition_report
+    from .index_core import IndexSet
+
     support = parse_index_set(args.J, args.N)
     block = IndexSet.of(args.N, range(len(support)))
     report = condition_report(block, support, args.N)
@@ -331,6 +331,9 @@ def _condition(args) -> int:
 
 
 def _uncertainty(args) -> int:
+    from .fourier import Signal
+    from .uncertainty import verify_uncertainty
+
     _, modulus = _modulus(args)
     signal = Signal.from_json(_load_json(args.signal))
     report = verify_uncertainty(signal, modulus)
@@ -339,6 +342,8 @@ def _uncertainty(args) -> int:
 
 
 def _rand_maximal(args) -> int:
+    from .uncertainty import random_maximal_experiment
+
     _, modulus = _modulus(args)
     summary = random_maximal_experiment(
         modulus, args.s, args.d, args.delta, args.trials, args.seed
@@ -348,6 +353,8 @@ def _rand_maximal(args) -> int:
 
 
 def _rand_signal(args) -> int:
+    from .uncertainty import random_signal_uncertainty
+
     _, modulus = _modulus(args)
     summary = random_signal_uncertainty(
         modulus, args.r, args.delta, args.trials, args.seed
@@ -357,6 +364,8 @@ def _rand_signal(args) -> int:
 
 
 def _sumset(args) -> int:
+    from .uncertainty import cauchy_davenport_check, sumset
+
     n = _require_n(args)
     x = parse_index_set(args.X, n)
     y = parse_index_set(args.Y, n)

@@ -1,13 +1,21 @@
-"""Exact counting of universal index sets and the normalized log-count curve."""
+"""Exact counting of universal index sets, the normalized log-count
+curve, and bracelet counts.
+
+All of it is integer arithmetic on base-p digits and binomials, so this
+module imports no numpy: `count`, `entropy` and `bracelets --count` run
+without it. `bracelet_count` lives here rather than in `index_core`,
+which re-exports it; `count_by_brute_force` imports the numpy-backed
+verdict on its first call.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
-from .index_core import IndexSet, PrimePowerModulus
-from .universality import is_universal
+from .base import PrimePowerModulus
 
 
 @dataclass(frozen=True)
@@ -45,33 +53,33 @@ def base_p_expansion(d: int, modulus: PrimePowerModulus) -> BasePExpansion:
     return BasePExpansion(d, p, m, tuple(digits), tuple(suffixes[1:]))
 
 
+def _factors(d: int, modulus: PrimePowerModulus):
+    """(binomial, exponent) pairs: the number of universal d-sets is the
+    product of binomial ** exponent, C(p, a_i + 1) ** d_i and
+    C(p, a_i) ** (p^(M-1-i) - d_i) for each digit a_i of d."""
+    exp = base_p_expansion(d, modulus)
+    p, m = modulus.p, modulus.m
+    for i, (alpha, d_i) in enumerate(zip(exp.digits, exp.suffixes)):
+        yield math.comb(p, alpha + 1), d_i
+        yield math.comb(p, alpha), p ** (m - 1 - i) - d_i
+
+
 def count_universal(d: int, modulus: PrimePowerModulus) -> int:
     """Exact number of universal subsets of [0:p^M-1] with cardinality d.
 
-    The whole group is the only set of size d = N, so that case returns
-    1 at once. The product formula agrees: the leading digit of N is
-    then p, and that place contributes C(p, p+1)^0 * C(p, p)^(p^(M-1)) = 1.
+    At d = N, where the whole group is the only set, the leading digit
+    is p, and that place contributes C(p, p+1)^0 * C(p, p)^(p^(M-1)) = 1.
     """
-    if not 0 <= d <= modulus.n:
-        raise ValueError(f"cardinality {d} outside [0:{modulus.n}]")
-    if d == modulus.n:
-        return 1
-    p, m = modulus.p, modulus.m
-    exp = base_p_expansion(d, modulus)
-    total = 1
-    for i in range(m):
-        alpha = exp.digits[i]
-        d_i = exp.suffixes[i]
-        block = p ** (m - 1 - i)
-        total *= math.comb(p, alpha + 1) ** d_i
-        total *= math.comb(p, alpha) ** (block - d_i)
-    return total
+    return math.prod(c ** e for c, e in _factors(d, modulus))
 
 
 def count_by_brute_force(
     d: int, modulus: PrimePowerModulus, budget: int = 1 << 24
 ) -> int:
     """Count by enumerating every d-subset and testing each one."""
+    from .index_core import IndexSet  # numpy, loaded on first use
+    from .universality import is_universal
+
     if not 0 <= d <= modulus.n:
         raise ValueError(f"cardinality {d} outside [0:{modulus.n}]")
     total_subsets = math.comb(modulus.n, d)
@@ -88,23 +96,16 @@ def count_by_brute_force(
     )
 
 
-def _log_exact(value: int) -> float:
-    """Natural log of a positive big integer without float overflow.
-
-    Splitting off the high bits keeps the mantissa well inside double
-    range; the relative error is a few ulps.
-    """
-    if value <= 0:
-        raise ValueError("log of nonpositive count")
-    e = max(0, value.bit_length() - 53)
-    return math.log(value >> e) + e * math.log(2)
-
-
 def entropy_curve(
     p: int, m: int, resolution: int
 ) -> list[tuple[float, float]]:
     """Normalized log-counts log C(floor(alpha*N), N) / N at equally
-    spaced alpha in [0, 1]. Both endpoints give exactly 0."""
+    spaced alpha in [0, 1]. Both endpoints give exactly 0.
+
+    Each log-count is the sum of exponent * log(binomial) over the
+    factors of count_universal, so no count is formed: O(M) per point.
+    It differs from log(count_universal) / N by a few ulps at most.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     modulus = PrimePowerModulus(p, m)
@@ -113,6 +114,44 @@ def entropy_curve(
     for i in range(resolution):
         alpha = i / (resolution - 1)
         d = min(n, math.floor(alpha * n))
-        value = _log_exact(count_universal(d, modulus)) / n
-        rows.append((alpha, value))
+        # exact exponent per distinct binomial, then one log each
+        exponents: dict[int, int] = {}
+        for c, e in _factors(d, modulus):
+            exponents[c] = exponents.get(c, 0) + e
+        log_count = math.fsum(e * math.log(c) for c, e in exponents.items() if e)
+        rows.append((alpha, log_count / n))
     return rows
+
+
+def bracelet_count(n: int, d: int) -> int:
+    """Number of black-and-white bracelets of length n with d black beads.
+
+    Burnside form: the cyclic (rotation) term is
+    (1/2n) * sum over k | gcd(n, d) of phi(k) * C(n/k, d/k), and the
+    reflection term is half a single binomial depending on the parities
+    of n and d.
+    """
+    if n < 1:
+        raise ValueError(f"ambient size must be >= 1, got {n}")
+    if not 0 <= d <= n:
+        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
+    g = math.gcd(n, d) if d else n
+    rot = sum(
+        _totient(k) * math.comb(n // k, d // k)
+        for k in range(1, g + 1)
+        if g % k == 0
+    )
+    if n % 2 == 1:
+        refl = math.comb((n - 1) // 2, d // 2)
+    elif d % 2 == 0:
+        refl = math.comb(n // 2, d // 2)
+    else:
+        refl = math.comb(n // 2 - 1, (d - 1) // 2)
+    total = n * refl + rot
+    assert total % (2 * n) == 0, "Burnside sum must divide evenly"
+    return total // (2 * n)
+
+
+@lru_cache(maxsize=None)
+def _totient(k: int) -> int:
+    return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)

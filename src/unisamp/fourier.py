@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .base import SingularSystemError
 from .index_core import IndexSet
 
 DEFAULT_TOLERANCE = 1e-10
@@ -73,18 +74,6 @@ class RankReport:
     @property
     def full_rank(self) -> bool:
         return self.numerical_rank == self.order
-
-
-class SingularSystemError(ValueError):
-    """Linear system is numerically singular; carries the rank report."""
-
-    def __init__(self, report: RankReport):
-        self.report = report
-        super().__init__(
-            f"singular system: smallest singular value "
-            f"{report.smallest_singular_value:.3e} below threshold "
-            f"(tolerance {report.tolerance:g})"
-        )
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -227,10 +216,13 @@ def brute_force_universal(
     and verdicts are cached per rotation/reflection class of the row set
     since translating or negating the rows also preserves singular
     values. Refuses more than `budget` column sets, which bounds both
-    time and memory.
+    time and memory, and any tolerance outside (0, inf), where the
+    singular-value test would decide nothing.
     """
     if index_set.n != n:
         raise ValueError(f"index set lives in Z_{index_set.n}, not Z_{n}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     d = len(index_set)
     if d == 0:
         return True

@@ -1,76 +1,24 @@
 """Residue arithmetic on index sets in Z_N for N = p^M.
 
-Provides the domain types shared by the rest of the package (prime-power
-moduli, index sets, per-level residue histograms) together with digit
-reversal, block-dispersion counts, the dihedral group action, and
-black-and-white bracelet canonicalization / counting.
+Provides the domain types shared by the rest of the package (index sets,
+per-level residue histograms) together with digit reversal,
+block-dispersion counts, the dihedral group action, and black-and-white
+bracelet canonicalization. `PrimePowerModulus` (from `base`) and
+`bracelet_count` (from `counting`) are defined in numpy-free modules and
+re-exported here.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-
-def is_prime(n: int) -> bool:
-    """Primality by trial division; fine at desk scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-@dataclass(frozen=True)
-class PrimePowerModulus:
-    """Ambient size N = p^M with p prime and M >= 1."""
-
-    p: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.m < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.m}")
-
-    @property
-    def n(self) -> int:
-        return self.p ** self.m
-
-    @classmethod
-    def from_n(cls, n: int) -> "PrimePowerModulus":
-        """Factor n as p^M, or raise ValueError if n is not a prime power."""
-        if n < 2:
-            raise ValueError(f"N must be >= 2, got {n}")
-        for p in range(2, n + 1):
-            if p * p > n:
-                break
-            if n % p == 0:
-                m = 0
-                rest = n
-                while rest % p == 0:
-                    rest //= p
-                    m += 1
-                if rest != 1:
-                    raise ValueError(
-                        f"N = {n} is not a prime power; "
-                        "only the brute-force rank oracle applies"
-                    )
-                return cls(p, m)
-        return cls(n, 1)  # n itself is prime
+from .base import PrimePowerModulus
+from .counting import bracelet_count  # noqa: F401
 
 
 def _int_array(values) -> np.ndarray:
@@ -350,37 +298,3 @@ def bracelet_canonical(index_set: IndexSet) -> BraceletClass:
             images.add(tuple(sorted((e - t) % n for e in base)))
     best = min(images)
     return BraceletClass(IndexSet(n, best), len(images))
-
-
-def bracelet_count(n: int, d: int) -> int:
-    """Number of black-and-white bracelets of length n with d black beads.
-
-    Burnside form: the cyclic (rotation) term is
-    (1/2n) * sum over k | gcd(n, d) of phi(k) * C(n/k, d/k), and the
-    reflection term is half a single binomial depending on the parities
-    of n and d.
-    """
-    if n < 1:
-        raise ValueError(f"ambient size must be >= 1, got {n}")
-    if not 0 <= d <= n:
-        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
-    g = math.gcd(n, d) if d else n
-    rot = sum(
-        _totient(k) * math.comb(n // k, d // k)
-        for k in range(1, g + 1)
-        if g % k == 0
-    )
-    if n % 2 == 1:
-        refl = math.comb((n - 1) // 2, d // 2)
-    elif d % 2 == 0:
-        refl = math.comb(n // 2, d // 2)
-    else:
-        refl = math.comb(n // 2 - 1, (d - 1) // 2)
-    total = n * refl + rot
-    assert total % (2 * n) == 0, "Burnside sum must divide evenly"
-    return total // (2 * n)
-
-
-@lru_cache(maxsize=None)
-def _totient(k: int) -> int:
-    return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .base import InfeasibleSizeError, NotUniversalError
 from .index_core import (
     IndexSet,
     PrimePowerModulus,
@@ -84,31 +85,6 @@ class MaximalResult:
 class MinimalResult:
     size: int
     example: IndexSet
-
-
-class NotUniversalError(ValueError):
-    """Raised when an operation needs a universal set but got a
-    non-universal one; carries the verdict with its witness."""
-
-    def __init__(self, verdict: UniversalityVerdict):
-        self.verdict = verdict
-        k, a, b = verdict.witness  # type: ignore[misc]
-        super().__init__(
-            f"set is not universal: residue {a} mod p^{k} holds at least two "
-            f"fewer elements than residue {b}"
-        )
-
-
-class InfeasibleSizeError(ValueError):
-    """Requested universal-subset size exceeds what the input admits."""
-
-    def __init__(self, requested: int, maximal: int):
-        self.requested = requested
-        self.maximal = maximal
-        super().__init__(
-            f"no universal subset of size {requested}: the largest universal "
-            f"subset has size {maximal}"
-        )
 
 
 def is_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> UniversalityVerdict:

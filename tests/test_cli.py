@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import unisamp
 from unisamp.cli import build_parser, main, parse_indices
 
 
@@ -222,6 +224,16 @@ class TestAnalysisCommands:
         code, out, _ = run(capsys, "oracle", "-N", "12", "-I", "0,3,5,10")
         assert code == 0
         assert isinstance(json.loads(out)["universal"], bool)
+
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
+    def test_oracle_degenerate_tolerance_usage_error(self, capsys, tolerance):
+        """{0, 1, 4, 5} is not universal (witness k=2, a=2, b=0); these
+        tolerances used to make the oracle answer true."""
+        code, out, err = run(
+            capsys, "oracle", "-N", "8", "-I", "0,1,4,5", "--tolerance", tolerance
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: tolerance must be positive and finite")
 
     def test_interpolate_round_trip(self, capsys, tmp_path):
         import numpy as np
@@ -459,3 +471,98 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert [
         m for m in report["loaded"] if m not in allowed and not m.startswith("_cython_")
     ] == []
+
+
+# Runs in a fresh interpreter where `import numpy` fails, calls the
+# integer-only commands (one of them on an exit-2 path) and prints each
+# call's exit code, stdout and stderr, and the numpy modules loaded.
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import unisamp
+from unisamp.cli import main
+
+calls = [
+    ["count", "-p", "2", "-M", "3", "-d", "4"],
+    ["entropy", "-p", "2", "-M", "3", "--resolution", "3"],
+    ["bracelets", "-n", "6", "--count", "2"],
+    ["count", "-p", "2", "-M", "3", "-d", "99"],
+]
+report = []
+for argv in calls:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    report.append([code, out.getvalue(), err.getvalue()])
+numpy = sorted(m for m, mod in sys.modules.items()
+               if m.split(".")[0] == "numpy" and mod is not None)
+print(json.dumps({"calls": report, "numpy": numpy}))
+"""
+
+
+def test_integer_commands_run_without_numpy():
+    """count, entropy and bracelets --count are integer arithmetic, so
+    they, and their usage errors, run with `import numpy` failing."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["calls"] == [
+        [0, "16\n", ""],
+        [0, "alpha,normalized_log_count,M,p\n0,0,3,2\n"
+            "0.5,0.34657359028,3,2\n1,0,3,2\n", ""],
+        [0, "3\n", ""],
+        [2, "", "error: cardinality 99 outside [0:8]\n"],
+    ]
+    assert report["numpy"] == []
+
+
+# The names `from unisamp import ...` resolved before the package
+# loaded its modules lazily, by the module that exported them then.
+_EXPORTS = {
+    "index_core": [
+        "BraceletClass", "IndexSet", "PrimePowerModulus", "ResidueHistogram", "act",
+        "bracelet_canonical", "bracelet_count", "chi_star", "digit_reverse",
+        "dispersion", "residue_histogram",
+    ],
+    "universality": [
+        "InfeasibleSizeError", "MaximalResult", "MinimalResult", "NotUniversalError",
+        "SchurValuation", "UniversalDecomposition", "UniversalityVerdict",
+        "decompose", "is_universal", "is_universal_via_chi_star",
+        "is_universal_via_dispersion", "maximal_universal", "minimal_universal",
+        "schur_valuation", "universal_subset_of_size",
+    ],
+    "counting": [
+        "BasePExpansion", "base_p_expansion", "count_by_brute_force",
+        "count_universal", "entropy_curve",
+    ],
+    "fourier": [
+        "RankReport", "Signal", "SingularSystemError", "brute_force_universal",
+        "condition_report", "dft_submatrix", "find_sampling_set", "interpolate",
+        "interpolating_basis", "is_invertible",
+    ],
+    "uncertainty": [
+        "RandomExperimentSummary", "SupportProfile", "cauchy_davenport_check",
+        "random_maximal_experiment", "random_signal_uncertainty", "sumset",
+        "support_profile", "verify_uncertainty",
+    ],
+}
+
+
+def test_public_names_resolve_lazily():
+    names = sorted(name for names in _EXPORTS.values() for name in names)
+    assert len(names) == 49
+    assert sorted(unisamp.__all__) == names
+    assert set(names) <= set(dir(unisamp))
+    for module, exported in _EXPORTS.items():
+        old_home = importlib.import_module(f"unisamp.{module}")
+        for name in exported:
+            obj = getattr(unisamp, name)
+            assert obj is getattr(old_home, name), name
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+    with pytest.raises(AttributeError):
+        unisamp.no_such_name

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import pytest
@@ -12,7 +13,20 @@ from unisamp import (
     count_universal,
     entropy_curve,
 )
-from unisamp.counting import _log_exact
+
+
+def _log_exact(value: int) -> float:
+    """Natural log of a positive big integer without float overflow: the
+    exact reference for entropy_curve, which sums logs of binomials.
+
+    Splitting off the high bits keeps the mantissa well inside double
+    range; the relative error is a few ulps.
+    """
+    if value <= 0:
+        raise ValueError("log of nonpositive count")
+    e = max(0, value.bit_length() - 53)
+    return math.log(value >> e) + e * math.log(2)
+
 
 M8 = PrimePowerModulus(2, 3)
 M9 = PrimePowerModulus(3, 2)
@@ -147,6 +161,24 @@ class TestEntropyCurve:
     def test_values_against_direct_formula(self):
         rows = dict(entropy_curve(2, 3, 5))
         assert rows[0.5] == pytest.approx(math.log(16) / 8)
+
+    @pytest.mark.parametrize("p, m", [(2, 10), (3, 6), (5, 4), (7, 3)])
+    def test_matches_exact_log_count(self, p, m):
+        modulus = PrimePowerModulus(p, m)
+        n = modulus.n
+        for alpha, value in entropy_curve(p, m, 33):
+            d = min(n, math.floor(alpha * n))
+            want = _log_exact(count_universal(d, modulus)) / n
+            assert value == pytest.approx(want, rel=0, abs=1e-12), (p, m, d)
+
+    def test_hostile_depth_is_instant(self):
+        """N = 2^40: the middle count is 2^(2^39), past any exact product."""
+        start = time.perf_counter()
+        rows = entropy_curve(2, 40, 3)
+        assert time.perf_counter() - start < 1.0
+        assert rows[1][0] == 0.5
+        assert rows[1][1] == pytest.approx(math.log(2) / 2, rel=0, abs=1e-12)
+        assert rows[0][1] == rows[2][1] == 0.0
 
     @pytest.mark.parametrize("alpha", [1 / 3, 0.2])
     def test_stabilizes_in_depth(self, alpha):

@@ -111,6 +111,13 @@ class TestBruteForceUniversal:
         with pytest.raises(ValueError, match="budget"):
             brute_force_universal(iset(24, range(12)), 24, budget=10)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_outside_open_interval_refused(self, tolerance):
+        """At 0, -1 and nan the singular-value test never fires and the
+        non-universal {0, 1, 4, 5} would pass; at inf every minor fails."""
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            brute_force_universal(iset(8, [0, 1, 4, 5]), 8, tolerance)
+
     @pytest.mark.parametrize("n,p,m", [(8, 2, 3), (9, 3, 2)])
     def test_agrees_with_criterion_on_random_sets(self, n, p, m):
         modulus = PrimePowerModulus(p, m)
