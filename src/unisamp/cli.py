@@ -240,12 +240,9 @@ def _decompose(args) -> int:
 
 def _count(args) -> int:
     _, modulus = _modulus(args)
-    if args.brute:
-        count = count_by_brute_force(args.d, modulus)
-    else:
-        count = count_universal(args.d, modulus)
-    # exact counts run to tens of thousands of digits, past the
-    # interpreter's default int->str limit
+    count = (count_by_brute_force if args.brute else count_universal)(args.d, modulus)
+    # exact counts run to a million digits, past the interpreter's
+    # default int->str limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

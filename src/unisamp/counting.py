@@ -64,12 +64,29 @@ def _factors(d: int, modulus: PrimePowerModulus):
         yield math.comb(p, alpha), p ** (m - 1 - i) - d_i
 
 
+def _log_count(d: int, modulus: PrimePowerModulus) -> float:
+    """log count_universal(d, modulus) in O(M), without forming the count:
+    the exponents of each distinct binomial are added exactly first."""
+    exponents: dict[int, int] = {}
+    for c, e in _factors(d, modulus):
+        exponents[c] = exponents.get(c, 0) + e
+    return math.fsum(e * math.log(c) for c, e in exponents.items() if e)
+
+
+MAX_COUNT_DIGITS = 10 ** 6  # longer counts take seconds to form and print
+
+
 def count_universal(d: int, modulus: PrimePowerModulus) -> int:
     """Exact number of universal subsets of [0:p^M-1] with cardinality d.
 
     At d = N, where the whole group is the only set, the leading digit
     is p, and that place contributes C(p, p+1)^0 * C(p, p)^(p^(M-1)) = 1.
+    A count of more than MAX_COUNT_DIGITS decimal digits is refused.
     """
+    digits = _log_count(d, modulus) / math.log(10)
+    if digits > MAX_COUNT_DIGITS:
+        raise ValueError(f"the count at d={d} has about {digits:.4g} decimal "
+                         f"digits, more than the limit of {MAX_COUNT_DIGITS}")
     return math.prod(c ** e for c, e in _factors(d, modulus))
 
 
@@ -102,9 +119,8 @@ def entropy_curve(
     """Normalized log-counts log C(floor(alpha*N), N) / N at equally
     spaced alpha in [0, 1]. Both endpoints give exactly 0.
 
-    Each log-count is the sum of exponent * log(binomial) over the
-    factors of count_universal, so no count is formed: O(M) per point.
-    It differs from log(count_universal) / N by a few ulps at most.
+    Each log-count is _log_count, so no count is formed. It differs
+    from log(count_universal) / N by a few ulps at most.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -114,12 +130,7 @@ def entropy_curve(
     for i in range(resolution):
         alpha = i / (resolution - 1)
         d = min(n, math.floor(alpha * n))
-        # exact exponent per distinct binomial, then one log each
-        exponents: dict[int, int] = {}
-        for c, e in _factors(d, modulus):
-            exponents[c] = exponents.get(c, 0) + e
-        log_count = math.fsum(e * math.log(c) for c, e in exponents.items() if e)
-        rows.append((alpha, log_count / n))
+        rows.append((alpha, _log_count(d, modulus) / n))
     return rows
 
 

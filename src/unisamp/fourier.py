@@ -11,6 +11,7 @@ find_sampling_set alone and is imported on its first call.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .base import SingularSystemError
-from .index_core import IndexSet
+from .index_core import IndexSet, bracelet_canonical, bracelet_representatives
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -56,8 +57,9 @@ class Signal:
             values = [complex(float(re), float(im)) for re, im in obj["values"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad signal JSON (need 'n' and 'values'): {exc}")
-        sig = cls(n, tuple(values))
-        return sig
+        if not all(map(cmath.isfinite, values)):
+            raise ValueError("values must be finite")
+        return cls(n, tuple(values))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
@@ -82,9 +84,7 @@ def dft_matrix(n: int) -> np.ndarray:
     The exponent is reduced mod N before the complex exponential so
     phases stay exact multiples of 2*pi/N.
     """
-    idx = np.arange(n)
-    phase = np.outer(idx, idx) % n
-    return np.exp(-2j * np.pi * phase / n)
+    return dft_submatrix(IndexSet.full(n), IndexSet.full(n), n).entries
 
 
 @dataclass(frozen=True)
@@ -135,69 +135,25 @@ def is_invertible(
     return _rank_report(dft_submatrix(rows, cols, n).entries, tolerance)
 
 
-# Subsets per block of the column-class enumeration (sized to stay in
-# cache) and column sets per batched SVD; both bound the oracle's memory.
-_ENUM_CHUNK = 1 << 12
+# Column sets per batched SVD; it bounds the oracle's memory.
 _SVD_CHUNK = 256
 
-
-def _canonical_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """Least image of each subset mask of Z_n under the 2n rotations and
-    reflections, compared as integers."""
-    shifts = np.arange(n).astype(masks.dtype)
-    bits = (masks[:, None] >> shifts) & 1
-    reflected = (bits << ((n - shifts) % n)).sum(axis=1)
-    both = np.stack([masks, reflected], axis=1)[:, :, None]
-    images = ((both >> shifts) | (both << (n - shifts))) & ((1 << n) - 1)
-    return images.reshape(len(masks), -1).min(axis=1)
-
-
-@lru_cache(maxsize=64)
-def _canonical_column_masks(n: int, d: int) -> np.ndarray:
-    """One column-set representative per rotation/reflection class, as a
-    read-only array of bitmasks in increasing order.
-
-    Translating the column set multiplies the submatrix by a unit
-    diagonal on the right; negating it conjugates entrywise. Neither
-    changes singular values, so one representative per class decides
-    invertibility for the whole class. A subset represents its class
-    when its mask is the least of its 2n images.
-
-    Subsets are unranked from their colexicographic ranks (the sum of
-    C(c_i, i) over elements c_1 < ... < c_d) in blocks of _ENUM_CHUNK:
-    O(n * C(n, d)) vector work, O(n * _ENUM_CHUNK) memory beyond the result.
-    """
-    dtype = np.uint64 if n <= 64 else object  # past 64 bits, Python ints
-    one = np.ones((), dtype=dtype)
-    total = math.comb(n, d)
-    tables = [np.array([min(math.comb(c, i), total) for c in range(n)])
-              for i in range(d, 0, -1)]
-    reps = []
-    for start in range(0, total, _ENUM_CHUNK):
-        rank = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        masks = np.zeros(len(rank), dtype=dtype)
-        for table in tables:
-            c = np.searchsorted(table, rank, side="right") - 1
-            rank -= table[c]
-            masks |= one << c.astype(dtype)
-        reps.append(masks[_canonical_masks(masks, n) == masks])
-    out = np.concatenate(reps)
-    out.flags.writeable = False
-    return out
+# Translating the column set multiplies the submatrix by a unit diagonal
+# on the right; negating it conjugates entrywise. Neither changes
+# singular values, so one column set per rotation/reflection class
+# decides invertibility for the whole class.
+_column_classes = lru_cache(maxsize=64)(bracelet_representatives)
 
 
 @lru_cache(maxsize=1 << 14)
-def _oracle_verdict(n: int, row_mask: int, tolerance: float) -> bool:
-    """brute_force_universal for the canonical row set `row_mask`."""
-    rows = IndexSet.from_mask(n, row_mask)
-    d = len(rows)
+def _oracle_verdict(rows: IndexSet, tolerance: float) -> bool:
+    """brute_force_universal for a canonical row set."""
+    n, d = rows.n, len(rows)
     base = dft_submatrix(rows, IndexSet.full(n), n).entries
-    reps = _canonical_column_masks(n, d)
-    shifts = np.arange(n).astype(reps.dtype)
+    reps = _column_classes(n, d)
     for start in range(0, len(reps), _SVD_CHUNK):
-        block = reps[start : start + _SVD_CHUNK]
-        cols = np.nonzero((block[:, None] >> shifts) & 1)[1].reshape(-1, d)
-        sv = np.linalg.svd(np.moveaxis(base[:, cols], 1, 0), compute_uv=False)
+        block = base[:, reps[start : start + _SVD_CHUNK]]
+        sv = np.linalg.svd(np.moveaxis(block, 1, 0), compute_uv=False)
         if np.any(sv[:, -1] <= tolerance * d * sv[:, 0]):
             return False
     return True
@@ -211,13 +167,13 @@ def brute_force_universal(
 ) -> bool:
     """True iff every square DFT submatrix with these rows is invertible.
 
-    Checks each column set of the same size; column sets are reduced to
-    rotation/reflection representatives (see _canonical_column_masks),
-    and verdicts are cached per rotation/reflection class of the row set
-    since translating or negating the rows also preserves singular
-    values. Refuses more than `budget` column sets, which bounds both
-    time and memory, and any tolerance outside (0, inf), where the
-    singular-value test would decide nothing.
+    Checks one column set of the same size per rotation/reflection
+    class (bracelet_representatives), and caches verdicts per class of
+    the row set (its bracelet_canonical form), since translating or
+    negating the rows also preserves singular values. Refuses more than
+    `budget` column sets, C(n, |I|) counted before classes are formed,
+    which bounds both time and memory, and any tolerance outside
+    (0, inf), where the singular-value test would decide nothing.
     """
     if index_set.n != n:
         raise ValueError(f"index set lives in Z_{index_set.n}, not Z_{n}")
@@ -232,8 +188,7 @@ def brute_force_universal(
             f"C({n},{d}) = {total} column sets exceeds the enumeration "
             f"budget of {budget}"
         )
-    mask = np.array([index_set.mask()], dtype=np.uint64 if n <= 64 else object)
-    return _oracle_verdict(n, int(_canonical_masks(mask, n)[0]), tolerance)
+    return _oracle_verdict(bracelet_canonical(index_set).canonical, tolerance)
 
 
 def interpolate(
@@ -259,6 +214,8 @@ def interpolate(
     b = np.asarray(list(samples), dtype=np.complex128)
     if b.shape != (d,):
         raise ValueError(f"expected {d} sample values, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("values must be finite")
     entries = dft_submatrix(sample_set, support, n).entries
     report = _rank_report(entries, tolerance)
     if not report.full_rank:

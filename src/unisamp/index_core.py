@@ -2,10 +2,10 @@
 
 Provides the domain types shared by the rest of the package (index sets,
 per-level residue histograms) together with digit reversal,
-block-dispersion counts, the dihedral group action, and black-and-white
-bracelet canonicalization. `PrimePowerModulus` (from `base`) and
-`bracelet_count` (from `counting`) are defined in numpy-free modules and
-re-exported here.
+block-dispersion counts, the dihedral group action, and its orbits'
+canonical forms and representatives, from least rotations of gap
+sequences. `PrimePowerModulus` (from `base`) and `bracelet_count` (from
+`counting`) are defined in numpy-free modules and re-exported here.
 """
 
 from __future__ import annotations
@@ -113,17 +113,6 @@ class IndexSet:
         outside[self.array] = False
         return IndexSet._trusted(self.n, np.flatnonzero(outside))
 
-    def mask(self) -> int:
-        """Bitmask encoding, bit i set iff i is an element."""
-        m = 0
-        for e in self.elements:
-            m |= 1 << e
-        return m
-
-    @classmethod
-    def from_mask(cls, n: int, mask: int) -> "IndexSet":
-        return cls(n, tuple(i for i in range(n) if mask >> i & 1))
-
     def to_json(self) -> dict:
         return {"n": self.n, "indices": self.array.tolist()}
 
@@ -194,13 +183,6 @@ class ResidueHistogram:
             return NotImplemented
         return self.modulus == other.modulus and self.counts == other.counts
 
-    def level(self, k: int) -> tuple[int, ...]:
-        return self.counts[k]
-
-    @property
-    def cardinality(self) -> int:
-        return int(self.flat[0])
-
     def spread_ok(self) -> bool:
         """True when max - min <= 1 at every level."""
         return not np.count_nonzero(self.hi - self.lo > 1)
@@ -269,11 +251,8 @@ def dispersion(index_set: IndexSet, modulus: PrimePowerModulus) -> ResidueHistog
 
 def act(index_set: IndexSet, t: int, reflect: bool = False) -> IndexSet:
     """Dihedral action: optionally negate mod N, then subtract t mod N."""
-    n = index_set.n
-    arr = index_set.array
-    if reflect:
-        arr = -arr % n
-    return IndexSet.of(n, (arr - t) % n)
+    arr = -index_set.array if reflect else index_set.array
+    return IndexSet.of(index_set.n, (arr - t) % index_set.n)
 
 
 @dataclass(frozen=True)
@@ -284,17 +263,71 @@ class BraceletClass:
     orbit_size: int
 
 
+def _least_rotation(seq: list) -> list:
+    """Least rotation of seq, by Duval's Lyndon factorization of seq + seq."""
+    d, s = len(seq), seq + seq
+    i = start = 0
+    while i < d:
+        start, j, k = i, i + 1, i
+        while j < 2 * d and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return s[start:start + d]
+
+
 def bracelet_canonical(index_set: IndexSet) -> BraceletClass:
-    """Lexicographic minimum of the sorted element tuple over all 2N images."""
-    n = index_set.n
-    images = set()
-    for reflect in (False, True):
-        base = (
-            tuple(-e % n for e in index_set.elements)
-            if reflect
-            else index_set.elements
-        )
-        for t in range(n):
-            images.add(tuple(sorted((e - t) % n for e in base)))
-    best = min(images)
-    return BraceletClass(IndexSet(n, best), len(images))
+    """Least sorted image of the set under the 2N rotations and
+    reflections, and the number of distinct images, in O(|I|).
+
+    An image containing 0 lists the prefix sums of the cyclic gaps
+    e_(i+1) - e_i from one element; reflection reverses the gaps. So the
+    least image comes from the least rotation of the gaps or of their
+    reversal, and the N * period / |I| translates double unless the two
+    agree."""
+    n, arr = index_set.n, index_set.array
+    if not len(arr):
+        return BraceletClass(index_set, 1)
+    gaps = np.diff(arr, append=arr[0] + n).tolist()
+    fwd, back, d = _least_rotation(gaps), _least_rotation(gaps[::-1]), len(gaps)
+    best = min(fwd, back)
+    period = next(q for q in range(1, d + 1) if d % q == 0 and best[q:] == best[:-q])
+    return BraceletClass(IndexSet._trusted(n, np.cumsum([0] + best[:-1])),
+                         n * period // d * (1 if fwd == back else 2))
+
+
+def bracelet_representatives(n: int, d: int) -> np.ndarray:
+    """One d-subset of Z_n per rotation/reflection class, as the rows of
+    a read-only int64 array. Up to d = n/2 each row is its class's
+    bracelet_canonical form: gap sequences are generated as necklaces
+    (Fredricksen-Kessler-Maiorana) and kept when no greater than the
+    least rotation of their reversal. Past n/2 the rows complement the
+    (n - d)-rows, as complement commutes with the dihedral action."""
+    if 2 * d > n:
+        rows = bracelet_representatives(n, n - d)
+        out = np.array([IndexSet._trusted(n, row).complement().array for row in rows])
+    elif d <= 1:
+        out = np.zeros((1, d), dtype=np.int64)
+    else:
+        found, a = [], [0] * d
+
+        def extend(t: int, period: int, rest: int) -> None:
+            """a[:t] is a prenecklace of this period; rest = n - sum(a[:t])."""
+            ref = a[t - period]
+            if t == d - 1:  # the last part is forced
+                a[t] = rest
+                if (rest > ref or rest == ref and d % period == 0) and (
+                        a <= _least_rotation(a[::-1])):
+                    found.append([0] + a[:-1])
+                return
+            for part in range(ref, rest - (d - 1 - t) * a[0] + 1):  # parts >= a[0]
+                a[t] = part
+                extend(t + 1, period if part == ref else t + 1, rest - part)
+
+        for first in range(1, n // d + 1):
+            a[0] = first
+            extend(1, 1, n - first)
+        out = np.cumsum(found, axis=1)  # rows are prefix sums of the gaps
+    out.setflags(write=False)
+    return out

@@ -1,12 +1,13 @@
 """Pure-Python reference for the residue criterion, the greedy
-constructions, the oracle's column classes and the condition bound.
+constructions, the dihedral canonical form, the oracle's column classes
+and the condition bound.
 
 These are the package's original algorithms over tuples, sets and
 Python-int bitmasks: a histogram built by looping over every element at
 every level, the pairwise witness scan, piece extraction with Python
-sets, a per-subset dihedral canonicalizer and a double loop over
-pairs. They are slow but plainly correct, and the array versions are
-checked against them.
+sets, canonical forms taken over all 2n images of a set, and a double
+loop over pairs. They are slow but plainly correct, and the array
+versions are checked against them.
 """
 
 import math
@@ -95,6 +96,16 @@ def construct(elements, p, m, d):
         piece, remaining = step
         collected.extend(piece)
     return tuple(sorted(collected))
+
+
+def bracelet_canonical(elements, n):
+    """(least sorted image, number of distinct images) of a subset of
+    Z_n over its 2n rotations and reflections."""
+    images = set()
+    for base in (tuple(elements), tuple(-e % n for e in elements)):
+        for t in range(n):
+            images.add(tuple(sorted((e - t) % n for e in base)))
+    return min(images), len(images)
 
 
 def rotate_mask(mask, t, n):

@@ -3,8 +3,10 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -219,6 +221,60 @@ class TestCountingCommands:
         assert (2 * 12) % obj["orbit_size"] == 0
 
 
+def _limited_child(*argv):
+    """`python *argv` with src on the path, one BLAS thread, 1 GB of
+    address space and 60 s, so a hostile-size regression fails the test
+    instead of exhausting the machine."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=60,
+        preexec_fn=limit, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
+def test_bracelets_canonical_large_n_bounded_memory():
+    """The canonical form costs O(|I|), not O(N |I|): at N = 200000 a
+    block of 2001 elements, its own mirror image, is canonical with an
+    orbit of N translates."""
+    start = time.perf_counter()
+    proc = _limited_child("-m", "unisamp.cli", "bracelets", "-n", "200000",
+                          "--canonical", "0..2000")
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 10
+    assert json.loads(proc.stdout) == {"canonical": list(range(2001)), "orbit_size": 200000}
+
+
+# Times the middle counts at N = 2^40 (about 1.7e11 digits) and 2^24
+# (about 2.5 million digits) inside the child.
+_COUNT_CAP_SCRIPT = """
+import contextlib, io, json, time
+from unisamp.cli import main
+
+report = []
+for m in (40, 24):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["count", "-p", "2", "-M", str(m), "-d", str(2 ** (m - 1))])
+    report.append([code, out.getvalue(), err.getvalue(), time.perf_counter() - start])
+print(json.dumps(report))
+"""
+
+
+def test_count_past_digit_cap_usage_error():
+    """Counts past 10^6 decimal digits are refused before they are formed."""
+    proc = _limited_child("-c", _COUNT_CAP_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    for m, (code, out, err, seconds) in zip((40, 24), json.loads(proc.stdout)):
+        assert code == 2 and out == "" and seconds < 1
+        assert err.startswith(f"error: the count at d={2 ** (m - 1)} has about")
+        assert err.endswith("decimal digits, more than the limit of 1000000\n")
+
+
 class TestAnalysisCommands:
     def test_oracle(self, capsys):
         code, out, _ = run(capsys, "oracle", "-N", "12", "-I", "0,3,5,10")
@@ -320,6 +376,24 @@ class TestAnalysisCommands:
         sig.write_text(json.dumps({"n": 8, "values": [[1, 0]] + [[0, 0]] * 7}))
         code, out, _ = run(capsys, "uncertainty", "-N", "8", "--signal", str(sig))
         assert code == 0 and json.loads(out)["all_pass"]
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_uncertainty_non_finite_usage_error(self, capsys, tmp_path, bad):
+        sig = tmp_path / "sig.json"
+        sig.write_text('{"n": 8, "values": [[%s, 0]%s]}' % (bad, ", [0, 0]" * 7))
+        code, out, err = run(capsys, "uncertainty", "-N", "8", "--signal", str(sig))
+        assert (code, out, err) == (2, "", "error: values must be finite\n")
+
+    def test_interpolate_non_finite_usage_error(self, capsys, tmp_path):
+        samples_file = tmp_path / "samples.json"
+        samples_file.write_text('{"n": 8, "indices": [0, 3], "values": [[NaN, 0], [1, 0]]}')
+        support_file = tmp_path / "support.json"
+        support_file.write_text(json.dumps({"n": 8, "indices": [1, 2]}))
+        code, out, err = run(
+            capsys, "interpolate", "-N", "8",
+            "--samples", str(samples_file), "--support", str(support_file),
+        )
+        assert (code, out, err) == (2, "", "error: values must be finite\n")
 
     def test_sumset_check(self, capsys):
         code, out, _ = run(capsys, "sumset", "-N", "8", "-X", "0,1", "-Y", "0,4", "--check")

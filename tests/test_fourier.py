@@ -15,6 +15,7 @@ from unisamp import (
     Signal,
     SingularSystemError,
     act,
+    bracelet_canonical,
     bracelet_count,
     brute_force_universal,
     condition_report,
@@ -26,7 +27,8 @@ from unisamp import (
     is_universal,
     PrimePowerModulus,
 )
-from unisamp.fourier import _canonical_column_masks, _oracle_verdict, dft_matrix
+from unisamp.fourier import _oracle_verdict, dft_matrix
+from unisamp.index_core import bracelet_representatives
 
 
 def iset(n, elems):
@@ -127,6 +129,13 @@ class TestBruteForceUniversal:
             s = iset(n, rng.sample(range(n), d))
             assert brute_force_universal(s, n) == is_universal(s, modulus).is_universal
 
+    def test_consecutive_rows_past_half(self):
+        """Consecutive rows give Vandermonde minors in distinct nodes, so
+        every column set passes; at d = 98 of 100 the column classes come
+        from the complement branch."""
+        assert brute_force_universal(iset(100, range(98)), 100)
+        assert brute_force_universal(iset(100, [*range(60, 100), *range(58)]), 100)
+
     def test_rotated_reflected_rows_hit_cache(self):
         rows = iset(12, [0, 1, 4, 6, 9])
         verdict = brute_force_universal(rows, 12)
@@ -137,23 +146,45 @@ class TestBruteForceUniversal:
 
 
 class TestColumnClasses:
-    """Array column-class representatives against the per-subset
-    Python canonicalizer in tests/reference.py."""
+    """The oracle's column classes (bracelet_representatives) against the
+    per-subset mask canonicalizer in tests/reference.py: one row per
+    class, every class present."""
+
+    @staticmethod
+    def classes(n, d):
+        rows = bracelet_representatives(n, d)
+        assert rows.shape == (len(rows), d) and not rows.flags.writeable
+        masks = [sum(1 << e for e in row) for row in rows.tolist()]
+        return sorted(reference.canonical_mask(m, n) for m in masks)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_equal_reference(self, n):
         for d in range(1, n + 1):
-            got = _canonical_column_masks(n, d).tolist()
-            assert got == sorted(reference.canonical_column_masks(n, d)), d
+            assert self.classes(n, d) == sorted(reference.canonical_column_masks(n, d)), d
 
     @pytest.mark.parametrize("n,d", [(66, 2), (66, 64), (70, 1)])
     def test_equal_reference_past_64_bits(self, n, d):
-        got = _canonical_column_masks(n, d).tolist()
-        assert got == sorted(reference.canonical_column_masks(n, d))
+        assert self.classes(n, d) == sorted(reference.canonical_column_masks(n, d))
 
-    @pytest.mark.parametrize("n,d", [(18, 9), (20, 10), (22, 11)])
+    @pytest.mark.parametrize("n,d", [(18, 9), (20, 10), (22, 11), (2001, 1999)])
     def test_count_is_bracelet_count(self, n, d):
-        assert len(_canonical_column_masks(n, d)) == bracelet_count(n, d)
+        assert len(bracelet_representatives(n, d)) == bracelet_count(n, d)
+
+    def test_complement_branch_rows(self):
+        """Past n/2 the rows are complements of the (n - d)-rows: at
+        (2001, 1999), one row per class of 2-sets {0, k}."""
+        rows = bracelet_representatives(2001, 1999)
+        assert len(rows) == 1000
+        pairs = {bracelet_canonical(IndexSet(2001, row).complement()).canonical.elements
+                 for row in rows}
+        assert pairs == {(0, k) for k in range(1, 1001)}
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 15, 20])
+    def test_rows_are_canonical_up_to_half(self, n):
+        """For d <= n/2 each row is its class's bracelet_canonical form."""
+        for d in range(n // 2 + 1):
+            for row in bracelet_representatives(n, d).tolist():
+                assert bracelet_canonical(IndexSet(n, row)).canonical.elements == tuple(row)
 
 
 class TestInterpolate:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unisamp import (
+    BraceletClass,
     IndexSet,
     PrimePowerModulus,
     act,
@@ -15,7 +16,8 @@ from unisamp import (
     dispersion,
     residue_histogram,
 )
-from conftest import dihedral_orbit_count
+import reference
+from conftest import all_subsets, dihedral_orbit_count
 
 
 MODULI = [
@@ -84,7 +86,6 @@ class TestIndexSet:
     def test_complement_and_mask(self):
         s = IndexSet.of(6, [0, 2, 5])
         assert s.complement().elements == (1, 3, 4)
-        assert IndexSet.from_mask(6, s.mask()) == s
 
 
 class TestResidueHistogram:
@@ -208,6 +209,43 @@ class TestBracelets:
         n = data.draw(st.integers(2, 14))
         s = IndexSet.of(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         assert (2 * n) % bracelet_canonical(s).orbit_size == 0
+
+    def test_canonical_equals_reference(self):
+        """Canonical form and orbit size against the images of every
+        subset with n <= 12, the empty and full sets included."""
+        for n in range(1, 13):
+            for elements in all_subsets(n):
+                got = bracelet_canonical(IndexSet(n, elements))
+                want = reference.bracelet_canonical(elements, n)
+                assert (got.canonical.elements, got.orbit_size) == want, (n, elements)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_at_large_n(self, data):
+        """Past where all images can be listed: the canonical form is an
+        image of the set, the same for every image, and the orbit size
+        divides 2n."""
+        n = data.draw(st.integers(2, 1 << 16))
+        s = IndexSet.of(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=60)))
+        t = data.draw(st.integers(0, n - 1))
+        reflect = data.draw(st.booleans())
+        cls = bracelet_canonical(s)
+        assert bracelet_canonical(act(s, t, reflect)) == cls
+        assert (2 * n) % cls.orbit_size == 0
+        assert any(
+            act(s, (-e if flip else e) % n, flip) == cls.canonical
+            for e in s.elements for flip in (False, True)
+        )
+
+    def test_canonical_orbit_of_symmetric_sets(self):
+        """Rotation and reflection symmetry shrink the orbit: a block is
+        its own mirror image, an arithmetic progression also repeats
+        under translation."""
+        assert bracelet_canonical(IndexSet.of(200000, range(2001))) == BraceletClass(
+            IndexSet.of(200000, range(2001)), 200000
+        )
+        assert bracelet_canonical(IndexSet.of(12, [1, 4, 7, 10])).orbit_size == 3
+        assert bracelet_canonical(IndexSet.of(12, [0, 1, 3])).orbit_size == 24
 
     def test_count_fixtures(self):
         assert bracelet_count(4, 2) == 2
