@@ -33,6 +33,8 @@ class Signal:
     values: tuple[complex, ...]
 
     def __post_init__(self) -> None:
+        if not all(map(cmath.isfinite, self.values)):
+            raise ValueError("values must be finite")
         if len(self.values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(self.values)}")
 
@@ -57,8 +59,6 @@ class Signal:
             values = [complex(float(re), float(im)) for re, im in obj["values"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad signal JSON (need 'n' and 'values'): {exc}")
-        if not all(map(cmath.isfinite, values)):
-            raise ValueError("values must be finite")
         return cls(n, tuple(values))
 
     def dumps(self) -> str:
@@ -84,30 +84,18 @@ def dft_matrix(n: int) -> np.ndarray:
     The exponent is reduced mod N before the complex exponential so
     phases stay exact multiples of 2*pi/N.
     """
-    return dft_submatrix(IndexSet.full(n), IndexSet.full(n), n).entries
+    return dft_submatrix(IndexSet.full(n), IndexSet.full(n), n)
 
 
-@dataclass(frozen=True)
-class DftSubmatrix:
-    rows: IndexSet
-    cols: IndexSet
-    n: int
-
-    @property
-    def entries(self) -> np.ndarray:
-        r = self.rows.array
-        c = self.cols.array
-        phase = np.outer(r, c) % self.n
-        return np.exp(-2j * np.pi * phase / self.n)
-
-
-def dft_submatrix(rows: IndexSet, cols: IndexSet, n: int) -> DftSubmatrix:
+def dft_submatrix(rows: IndexSet, cols: IndexSet, n: int) -> np.ndarray:
+    """The rows x cols block of dft_matrix(n)."""
     if rows.n != n or cols.n != n:
         raise ValueError(
             f"row set (n={rows.n}) and column set (n={cols.n}) must both "
             f"live in Z_{n}"
         )
-    return DftSubmatrix(rows, cols, n)
+    phase = np.outer(rows.array, cols.array) % n
+    return np.exp(-2j * np.pi * phase / n)
 
 
 def _rank_report(matrix: np.ndarray, tolerance: float) -> RankReport:
@@ -132,7 +120,7 @@ def is_invertible(
         raise ValueError(
             f"need a square submatrix, got {len(rows)}x{len(cols)}"
         )
-    return _rank_report(dft_submatrix(rows, cols, n).entries, tolerance)
+    return _rank_report(dft_submatrix(rows, cols, n), tolerance)
 
 
 # Column sets per batched SVD; it bounds the oracle's memory.
@@ -147,9 +135,10 @@ _column_classes = lru_cache(maxsize=64)(bracelet_representatives)
 
 @lru_cache(maxsize=1 << 14)
 def _oracle_verdict(rows: IndexSet, tolerance: float) -> bool:
-    """brute_force_universal for a canonical row set."""
+    """brute_force_universal for a canonical row set of size 1..N/2,
+    whose |I| x N row block then has at most 2 C(N, |I|) entries."""
     n, d = rows.n, len(rows)
-    base = dft_submatrix(rows, IndexSet.full(n), n).entries
+    base = dft_submatrix(rows, IndexSet.full(n), n)
     reps = _column_classes(n, d)
     for start in range(0, len(reps), _SVD_CHUNK):
         block = base[:, reps[start : start + _SVD_CHUNK]]
@@ -167,27 +156,34 @@ def brute_force_universal(
 ) -> bool:
     """True iff every square DFT submatrix with these rows is invertible.
 
-    Checks one column set of the same size per rotation/reflection
-    class (bracelet_representatives), and caches verdicts per class of
-    the row set (its bracelet_canonical form), since translating or
-    negating the rows also preserves singular values. Refuses more than
-    `budget` column sets, C(n, |I|) counted before classes are formed,
-    which bounds both time and memory, and any tolerance outside
-    (0, inf), where the singular-value test would decide nothing.
+    I is universal iff its complement is: F^-1 = conj(F)/N and F is
+    symmetric, so by Jacobi's identity for minors of the inverse
+    det F[I, J] = 0 exactly when det F[N-I, N-J] = 0. So the smaller of
+    I and N-I is tested (past N/2, `tolerance` applies to the minors of
+    N-I), with one column set of its size per rotation/reflection class
+    (bracelet_representatives), and verdicts are cached per class of
+    the tested rows (their bracelet_canonical form), since translating
+    or negating the rows also preserves singular values. Refuses more
+    than `budget` column sets, C(n, |I|) = C(n, n - |I|) counted before
+    classes are formed, which bounds both time and memory, and any
+    tolerance outside (0, inf), where the singular-value test would
+    decide nothing.
     """
     if index_set.n != n:
         raise ValueError(f"index set lives in Z_{index_set.n}, not Z_{n}")
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     d = len(index_set)
-    if d == 0:
-        return True
     total = math.comb(n, d)
     if total > budget:
         raise ValueError(
             f"C({n},{d}) = {total} column sets exceeds the enumeration "
             f"budget of {budget}"
         )
+    if 2 * d > n:
+        index_set = index_set.complement()
+    if not len(index_set):
+        return True
     return _oracle_verdict(bracelet_canonical(index_set).canonical, tolerance)
 
 
@@ -216,7 +212,7 @@ def interpolate(
         raise ValueError(f"expected {d} sample values, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("values must be finite")
-    entries = dft_submatrix(sample_set, support, n).entries
+    entries = dft_submatrix(sample_set, support, n)
     report = _rank_report(entries, tolerance)
     if not report.full_rank:
         raise SingularSystemError(report)
@@ -274,7 +270,7 @@ def condition_report(sample_set: IndexSet, support: IndexSet, n: int) -> Conditi
         )
     if d == 0:
         raise ValueError("the condition number needs a nonempty support")
-    sv = np.linalg.svd(dft_submatrix(sample_set, support, n).entries, compute_uv=False)
+    sv = np.linalg.svd(dft_submatrix(sample_set, support, n), compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     j = support.array
     diff = np.subtract.outer(j, j)[~np.eye(d, dtype=bool)]

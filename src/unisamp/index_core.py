@@ -298,16 +298,12 @@ def bracelet_canonical(index_set: IndexSet) -> BraceletClass:
 
 
 def bracelet_representatives(n: int, d: int) -> np.ndarray:
-    """One d-subset of Z_n per rotation/reflection class, as the rows of
-    a read-only int64 array. Up to d = n/2 each row is its class's
-    bracelet_canonical form: gap sequences are generated as necklaces
-    (Fredricksen-Kessler-Maiorana) and kept when no greater than the
-    least rotation of their reversal. Past n/2 the rows complement the
-    (n - d)-rows, as complement commutes with the dihedral action."""
-    if 2 * d > n:
-        rows = bracelet_representatives(n, n - d)
-        out = np.array([IndexSet._trusted(n, row).complement().array for row in rows])
-    elif d <= 1:
+    """One d-subset of Z_n per rotation/reflection class, for
+    0 <= d <= n/2, as the rows of a read-only int64 array. Each row is
+    its class's bracelet_canonical form: gap sequences are generated as
+    necklaces (Fredricksen-Kessler-Maiorana) and kept when no greater
+    than the least rotation of their reversal."""
+    if d <= 1:
         out = np.zeros((1, d), dtype=np.int64)
     else:
         found, a = [], [0] * d

@@ -17,7 +17,7 @@ import numpy as np
 
 from .index_core import IndexSet, PrimePowerModulus
 from .fourier import Signal
-from .universality import is_universal, maximal_universal, minimal_universal
+from .universality import maximal_universal
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,10 @@ def support_profile(signal: Signal, tolerance: Optional[float] = None) -> Suppor
     mags = np.abs(signal.as_array())
     if tolerance is None:
         tolerance = 1e-9 * float(mags.max(initial=0.0))
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError("tolerance must be nonnegative")
-    supp = [i for i, m in enumerate(mags) if m > tolerance]
-    zero = [i for i, m in enumerate(mags) if m <= tolerance]
-    return SupportProfile(
-        signal,
-        IndexSet.of(signal.n, supp),
-        IndexSet.of(signal.n, zero),
-        tolerance,
-    )
+    support = IndexSet._trusted(signal.n, np.flatnonzero(mags > tolerance))
+    return SupportProfile(signal, support, support.complement(), tolerance)
 
 
 @dataclass(frozen=True)
@@ -91,6 +85,8 @@ def verify_uncertainty(
     spectrum Ff:
       |supp(Ff)| >= 1 + Omega(Z(f))     |supp(f)| >= 1 + Omega(Z(Ff))
       |Z(Ff)| + 1 <= Phi(supp(f))       |Z(f)| + 1 <= Phi(supp(Ff))
+    The zero set is the support's complement, so by complement duality
+    Phi(supp) = N - Omega(Z), and two Omega computations decide all four.
     """
     if signal.n != modulus.n:
         raise ValueError(f"signal length {signal.n} does not match N={modulus.n}")
@@ -99,21 +95,17 @@ def verify_uncertainty(
     if len(time.support) == 0:
         raise ValueError("uncertainty bounds apply to nonzero signals only")
 
-    def omega(s: IndexSet) -> int:
-        return maximal_universal(s, modulus).size
-
-    def phi(s: IndexSet) -> int:
-        return minimal_universal(s, modulus).size
-
+    omega_time = maximal_universal(time.zero_set, modulus).size
+    omega_freq = maximal_universal(freq.zero_set, modulus).size
     return UncertaintyReport((
         BoundCheck("spectrum support vs zero-set Omega",
-                   len(freq.support), 1 + omega(time.zero_set)),
+                   len(freq.support), 1 + omega_time),
         BoundCheck("signal support vs spectral zero-set Omega",
-                   len(time.support), 1 + omega(freq.zero_set)),
+                   len(time.support), 1 + omega_freq),
         BoundCheck("support Phi vs spectral zero count",
-                   phi(time.support), len(freq.zero_set) + 1),
+                   modulus.n - omega_time, len(freq.zero_set) + 1),
         BoundCheck("spectral support Phi vs zero count",
-                   phi(freq.support), len(time.zero_set) + 1),
+                   modulus.n - omega_freq, len(time.zero_set) + 1),
     ))
 
 
@@ -288,23 +280,20 @@ def cauchy_davenport_check(
 ) -> CauchyDavenportReport:
     """Sumset lower bounds over Z_{p^M}.
 
-    When either summand is universal and |X|+|Y|-1 <= N, the direct
-    bound |X+Y| >= |X|+|Y|-1 applies. The fallback bound replaces one
-    summand's size by its largest universal subset and always applies
-    (clamped at N: a universal set plus enough elements covers
-    everything).
+    When either summand is universal (Omega(S) = |S|) and |X|+|Y|-1 <= N,
+    the direct bound |X+Y| >= |X|+|Y|-1 applies. The fallback bound
+    replaces one summand's size by its largest universal subset and
+    always applies (clamped at N: a universal set plus enough elements
+    covers everything).
     """
     if x.n != modulus.n or y.n != modulus.n:
         raise ValueError("both sets must live in the modulus's ambient group")
     size = len(sumset(x, y))
     n = modulus.n
     direct = len(x) + len(y) - 1
-    applicable = direct <= n and (
-        is_universal(x, modulus).is_universal
-        or is_universal(y, modulus).is_universal
-    )
     omega_x = maximal_universal(x, modulus).size
     omega_y = maximal_universal(y, modulus).size
+    applicable = direct <= n and (omega_x == len(x) or omega_y == len(y))
     fallback = min(n, max(omega_x + len(y) - 1, len(x) + omega_y - 1))
     return CauchyDavenportReport(
         size,

@@ -1,17 +1,20 @@
 """Pure-Python reference for the residue criterion, the greedy
 constructions, the dihedral canonical form, the oracle's column classes
-and the condition bound.
+and the condition bound, and a plain rank oracle.
 
 These are the package's original algorithms over tuples, sets and
 Python-int bitmasks: a histogram built by looping over every element at
 every level, the pairwise witness scan, piece extraction with Python
 sets, canonical forms taken over all 2n images of a set, and a double
-loop over pairs. They are slow but plainly correct, and the array
-versions are checked against them.
+loop over pairs. The rank oracle takes numpy's singular values of every
+minor, with no classes and no complement. They are slow but plainly
+correct, and the array versions are checked against them.
 """
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 def histogram(elements, p, m):
@@ -153,3 +156,16 @@ def sine_product_log(support, n):
             if j1 != j2:
                 total += math.log(abs(2.0 * math.sin(math.pi * (j1 - j2) / n)))
     return total
+
+
+def plain_oracle(elements, n, tolerance=1e-10):
+    """True iff, for every one of the C(n, d) column sets, the d x d DFT
+    minor with rows `elements` has its smallest singular value above
+    tolerance * d * its largest (the package oracle's rule)."""
+    rows, d = np.asarray(elements), len(elements)
+    if d == 0:
+        return True
+    cols = np.array(list(combinations(range(n), d)))
+    minors = np.exp(-2j * np.pi * (rows[None, :, None] * cols[:, None, :] % n) / n)
+    sv = np.linalg.svd(minors, compute_uv=False)
+    return bool(np.all(sv[:, -1] > tolerance * d * sv[:, 0]))

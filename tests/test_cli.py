@@ -248,6 +248,18 @@ def test_bracelets_canonical_large_n_bounded_memory():
     assert json.loads(proc.stdout) == {"canonical": list(range(2001)), "orbit_size": 200000}
 
 
+@pytest.mark.parametrize("n,top", [(4096, 4095), (5793, 5790)])
+def test_oracle_past_half_bounded_memory(n, top):
+    """Past N/2 the oracle tests the complement, so the full set of 4096
+    rows and 5791 of 5793 rows (C(5793, 2) is inside the budget) are
+    decided from a row block of at most 2 x N entries, within 1 GB."""
+    start = time.perf_counter()
+    proc = _limited_child("-m", "unisamp.cli", "oracle", "-N", str(n), "-I", f"0..{top}")
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 10
+    assert proc.stdout == '{"universal": true}\n'
+
+
 # Times the middle counts at N = 2^40 (about 1.7e11 digits) and 2^24
 # (about 2.5 million digits) inside the child.
 _COUNT_CAP_SCRIPT = """

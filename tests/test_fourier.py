@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -43,15 +44,15 @@ class TestDftMatrix:
 
     def test_row_zero_is_ones(self):
         sub = dft_submatrix(iset(8, [0]), iset(8, [3]), 8)
-        assert np.allclose(sub.entries, [[1.0]])
+        assert np.allclose(sub, [[1.0]])
 
     def test_single_entry(self):
         sub = dft_submatrix(iset(4, [1]), iset(4, [2]), 4)
-        assert np.allclose(sub.entries, [[-1.0]])
+        assert np.allclose(sub, [[-1.0]])
 
     def test_unit_modulus(self):
         sub = dft_submatrix(iset(16, [1, 5, 7]), iset(16, [2, 3]), 16)
-        assert np.allclose(np.abs(sub.entries), 1.0)
+        assert np.allclose(np.abs(sub), 1.0)
 
     def test_mismatch(self):
         with pytest.raises(ValueError):
@@ -78,8 +79,6 @@ class TestIsInvertible:
             is_invertible(iset(8, [0, 1]), iset(8, [0]), 8)
 
     def test_prime_modulus_all_invertible(self):
-        from itertools import combinations
-
         for d in (1, 2, 3):
             for rows in combinations(range(7), d):
                 for cols in combinations(range(7), d):
@@ -131,10 +130,25 @@ class TestBruteForceUniversal:
 
     def test_consecutive_rows_past_half(self):
         """Consecutive rows give Vandermonde minors in distinct nodes, so
-        every column set passes; at d = 98 of 100 the column classes come
-        from the complement branch."""
+        every column set passes; at d = 98 of 100 the oracle tests the
+        2-element row complement."""
         assert brute_force_universal(iset(100, range(98)), 100)
         assert brute_force_universal(iset(100, [*range(60, 100), *range(58)]), 100)
+
+    def test_equals_plain_oracle_past_half(self):
+        """Every row set past N/2 at N = 10, where the complement is
+        tested, against every column set of the rows themselves."""
+        for d in range(6, 11):
+            for rows in combinations(range(10), d):
+                assert brute_force_universal(iset(10, rows), 10) == \
+                    reference.plain_oracle(rows, 10), rows
+
+    def test_equals_plain_oracle_random(self):
+        rng = random.Random(1212)
+        for _ in range(40):
+            rows = sorted(rng.sample(range(12), rng.randint(0, 12)))
+            assert brute_force_universal(iset(12, rows), 12) == \
+                reference.plain_oracle(rows, 12), rows
 
     def test_rotated_reflected_rows_hit_cache(self):
         rows = iset(12, [0, 1, 4, 6, 9])
@@ -159,25 +173,16 @@ class TestColumnClasses:
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_equal_reference(self, n):
-        for d in range(1, n + 1):
+        for d in range(1, n // 2 + 1):
             assert self.classes(n, d) == sorted(reference.canonical_column_masks(n, d)), d
 
-    @pytest.mark.parametrize("n,d", [(66, 2), (66, 64), (70, 1)])
+    @pytest.mark.parametrize("n,d", [(66, 2), (70, 1)])
     def test_equal_reference_past_64_bits(self, n, d):
         assert self.classes(n, d) == sorted(reference.canonical_column_masks(n, d))
 
-    @pytest.mark.parametrize("n,d", [(18, 9), (20, 10), (22, 11), (2001, 1999)])
+    @pytest.mark.parametrize("n,d", [(18, 9), (20, 10), (22, 11), (2001, 2)])
     def test_count_is_bracelet_count(self, n, d):
         assert len(bracelet_representatives(n, d)) == bracelet_count(n, d)
-
-    def test_complement_branch_rows(self):
-        """Past n/2 the rows are complements of the (n - d)-rows: at
-        (2001, 1999), one row per class of 2-sets {0, k}."""
-        rows = bracelet_representatives(2001, 1999)
-        assert len(rows) == 1000
-        pairs = {bracelet_canonical(IndexSet(2001, row).complement()).canonical.elements
-                 for row in rows}
-        assert pairs == {(0, k) for k in range(1, 1001)}
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 15, 20])
     def test_rows_are_canonical_up_to_half(self, n):

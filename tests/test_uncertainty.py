@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unisamp import (
     IndexSet,
@@ -47,6 +49,19 @@ class TestSupportProfile:
         sig = sparse_spectrum_signal(8, [0, 3], rng)
         assert len(support_profile(sig.spectrum()).support) == 2
 
+    def test_non_finite_signal_refused(self):
+        """A NaN would make the default tolerance NaN and leave both the
+        support and the zero set empty."""
+        with pytest.raises(ValueError, match="values must be finite"):
+            Signal.of([1, math.nan, 0, 0, 2, 0, 0, 0])
+        with pytest.raises(ValueError, match="values must be finite"):
+            Signal.of([1, 0, complex(0, math.inf), 0])
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
+    def test_bad_tolerance_refused(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            support_profile(Signal.of([1, 0, 0, 0]), tolerance)
+
     def test_partition(self):
         rng = np.random.default_rng(1)
         sig = sparse_spectrum_signal(16, [1, 4, 9], rng)
@@ -55,6 +70,36 @@ class TestSupportProfile:
 
 
 class TestVerifyUncertainty:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_four_constructions(self, data):
+        """Phi(supp) read as N - Omega(zero set) equals minimal_universal
+        on the support, on sparse signals and on combs (periodic, so the
+        spectrum is sparse too)."""
+        p, m = data.draw(st.sampled_from([(2, 3), (3, 2), (2, 5), (3, 5)]))
+        modulus, n = PrimePowerModulus(p, m), p ** m
+        period = p ** data.draw(st.integers(0, m))
+        block = data.draw(st.lists(st.integers(-2, 2), min_size=period, max_size=period))
+        if not any(block):
+            block[0] = 1
+        signal = Signal.of(block * (n // period))
+        time, freq = support_profile(signal), support_profile(signal.spectrum())
+
+        def omega(s):
+            return maximal_universal(s, modulus).size
+
+        def phi(s):
+            return minimal_universal(s, modulus).size
+
+        expected = (
+            (len(freq.support), 1 + omega(time.zero_set)),
+            (len(time.support), 1 + omega(freq.zero_set)),
+            (phi(time.support), len(freq.zero_set) + 1),
+            (phi(freq.support), len(time.zero_set) + 1),
+        )
+        report = verify_uncertainty(signal, modulus)
+        assert tuple((c.lhs, c.rhs) for c in report.checks) == expected
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             verify_uncertainty(Signal.of([0] * 8), PrimePowerModulus(2, 3))
@@ -233,3 +278,15 @@ class TestCauchyDavenport:
             for ye in ([0], [0, 4], [1, 2, 3], [0, 1, 2, 3, 4, 5]):
                 rep = cauchy_davenport_check(x, iset(8, ye), m)
                 assert rep.omega_pass
+
+    @pytest.mark.parametrize("p,m", [(2, 4), (3, 3)])
+    def test_applicable_iff_a_summand_is_universal(self, p, m):
+        """direct_applicable, read from Omega(S) = |S|, against the
+        residue criterion on each summand."""
+        modulus, n = PrimePowerModulus(p, m), p ** m
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            x, y = (iset(n, rng.permutation(n)[: rng.integers(1, n // 2)]) for _ in "xy")
+            want = len(x) + len(y) - 1 <= n and (
+                is_universal(x, modulus).is_universal or is_universal(y, modulus).is_universal)
+            assert cauchy_davenport_check(x, y, modulus).direct_applicable == want
