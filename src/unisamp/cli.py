@@ -11,6 +11,7 @@ decompose, an infeasible size, a singular interpolation system),
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -396,5 +397,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry: `python -m unisamp.cli` and the `unisamp` script."""
+    # The process is one-shot: numpy's import leaves ~10^5 objects that
+    # every full collection, and the final one at exit, would traverse,
+    # and nothing here builds cycles in bulk. `main` keeps the collector.
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

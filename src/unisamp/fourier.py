@@ -94,8 +94,12 @@ def dft_submatrix(rows: IndexSet, cols: IndexSet, n: int) -> np.ndarray:
             f"row set (n={rows.n}) and column set (n={cols.n}) must both "
             f"live in Z_{n}"
         )
-    phase = np.outer(rows.array, cols.array) % n
-    return np.exp(-2j * np.pi * phase / n)
+    # one complex buffer; the operation order of exp(-2j*pi*phase/n)
+    phase = np.outer(rows.array, cols.array)
+    phase %= n
+    block = np.multiply(-2j * np.pi, phase)
+    block /= n
+    return np.exp(block, out=block)
 
 
 def _rank_report(matrix: np.ndarray, tolerance: float) -> RankReport:

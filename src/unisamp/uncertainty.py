@@ -17,7 +17,7 @@ import numpy as np
 
 from .index_core import IndexSet, PrimePowerModulus
 from .fourier import Signal
-from .universality import maximal_universal
+from .universality import _omega_rows, maximal_universal
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ def verify_uncertainty(
       |supp(Ff)| >= 1 + Omega(Z(f))     |supp(f)| >= 1 + Omega(Z(Ff))
       |Z(Ff)| + 1 <= Phi(supp(f))       |Z(f)| + 1 <= Phi(supp(Ff))
     The zero set is the support's complement, so by complement duality
-    Phi(supp) = N - Omega(Z), and two Omega computations decide all four.
+    Phi(supp) = N - Omega(Z), and one Omega fold over the two zero sets
+    decides all four.
     """
     if signal.n != modulus.n:
         raise ValueError(f"signal length {signal.n} does not match N={modulus.n}")
@@ -95,8 +96,9 @@ def verify_uncertainty(
     if len(time.support) == 0:
         raise ValueError("uncertainty bounds apply to nonzero signals only")
 
-    omega_time = maximal_universal(time.zero_set, modulus).size
-    omega_freq = maximal_universal(freq.zero_set, modulus).size
+    zeros = np.zeros((2, modulus.n), dtype=bool)
+    zeros[0, time.zero_set.array] = zeros[1, freq.zero_set.array] = True
+    omega_time, omega_freq = _omega_rows(zeros, modulus).tolist()
     return UncertaintyReport((
         BoundCheck("spectrum support vs zero-set Omega",
                    len(freq.support), 1 + omega_time),
@@ -163,6 +165,11 @@ def random_maximal_experiment(
     Requires N log(1/lambda) >= (1+delta) d log d with
     lambda = (N-s)/N; under it the success probability is at least
     1 - d^(-delta).
+
+    Trial t draws _trial_rng(seed, t).permutation(N)[:s] and succeeds
+    when Omega >= d, read from one fold of the congruence tree over
+    blocks of at most 2^14 indicator entries (one trial when N > 2^14),
+    so memory stays flat in the trial count.
     """
     n = modulus.n
     if not 0 <= s <= n:
@@ -177,12 +184,12 @@ def random_maximal_experiment(
             f"parameter inequality fails: N log(1/lambda) = {lhs:.4f} < "
             f"(1+delta) d log d = {rhs:.4f}"
         )
-    successes = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        subset = IndexSet.of(n, rng.permutation(n)[:s])
-        if maximal_universal(subset, modulus).size >= d:
-            successes += 1
+    successes, per_block = 0, max(1, 2 ** 14 // n)
+    for start in range(0, trials, per_block):
+        block = np.zeros((min(per_block, trials - start), n), dtype=bool)
+        for row, t in enumerate(range(start, start + len(block))):
+            block[row, _trial_rng(seed, t).permutation(n)[:s]] = True
+        successes += int(np.count_nonzero(_omega_rows(block, modulus) >= d))
     bound = 1.0 - d ** (-delta) if d > 1 else 1.0 if s >= 1 else 0.0
     return RandomExperimentSummary(
         trials,

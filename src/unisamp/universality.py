@@ -219,6 +219,26 @@ def maximal_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> Maxima
     return MaximalResult(len(example), example, decomposition)
 
 
+def _omega_rows(indicator: np.ndarray, modulus: PrimePowerModulus) -> np.ndarray:
+    """Omega of each row of a (rows, N) boolean indicator array.
+
+    A set is universal iff every node of the congruence tree splits its
+    count c among its p children as floor(c/p) and ceil(c/p). The sizes
+    of the universal subsets under a node form an interval [0, Omega]:
+    from a split of q + 1s and qs, drop one child from q + 1 to q, or,
+    when all are equal, one from q to q - 1. Taking q = m, the smallest
+    child Omega, gives Omega = p*m + #{children with Omega > m}, and
+    q = m + 1 is out of reach. The children of a class mod p^(k-1) are
+    a + j*p^(k-1), so one reshape puts them on axis 1 at every level.
+    """
+    p, w = modulus.p, indicator
+    for k in range(modulus.m, 0, -1):
+        w = w.reshape(len(w), p, p ** (k - 1))
+        lo = w.min(1)
+        w = p * lo + (w > lo[:, None]).sum(1)
+    return w[:, 0]
+
+
 def universal_subset_of_size(
     index_set: IndexSet, modulus: PrimePowerModulus, d: int
 ) -> IndexSet:
@@ -245,9 +265,9 @@ def universal_subset_of_size(
     remaining = index_set
     collected: list[np.ndarray] = []
     for k in levels:
-        # feasibility of every step after the first is not proved in
-        # general; surface a failure loudly rather than silently
-        # returning a short set
+        # a universal d-subset exists for every d <= Omega (the interval
+        # argument of _omega_rows); that these prescribed levels find one
+        # is tested, not proved, so a failure is surfaced, not shortened
         try:
             piece, remaining = _extract_piece(remaining, k, modulus)
         except LookupError as exc:

@@ -1,6 +1,7 @@
 """Pure-Python reference for the residue criterion, the greedy
-constructions, the dihedral canonical form, the oracle's column classes
-and the condition bound, and a plain rank oracle.
+constructions, the random-subset experiment, the dihedral canonical
+form, the oracle's column classes and the condition bound, and a plain
+rank oracle.
 
 These are the package's original algorithms over tuples, sets and
 Python-int bitmasks: a histogram built by looping over every element at
@@ -99,6 +100,18 @@ def construct(elements, p, m, d):
         piece, remaining = step
         collected.extend(piece)
     return tuple(sorted(collected))
+
+
+def random_maximal_successes(p, m, s, d, trials, seed):
+    """Trials t < `trials` whose s-subset, drawn from the stream seeded
+    with (seed, t), has a greedy maximal universal subset of size >= d."""
+    successes = 0
+    for t in range(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
+        subset = rng.permutation(p ** m)[:s].tolist()
+        if sum(len(piece) for _, piece in maximal(subset, p, m)) >= d:
+            successes += 1
+    return successes
 
 
 def bracelet_canonical(elements, n):

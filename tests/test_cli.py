@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import math
@@ -260,6 +261,25 @@ def test_oracle_past_half_bounded_memory(n, top):
     assert proc.stdout == '{"universal": true}\n'
 
 
+def test_oracle_single_row_at_2_24_bounded_rss():
+    """The 1 x 2^24 row block is built in one complex buffer beside its
+    int64 phase, so the child's peak RSS stays under 640 MB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with subprocess.Popen(
+        [sys.executable, "-m", "unisamp.cli", "oracle", "-N", "16777216", "-I", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    ) as proc:
+        out, err = proc.stdout.read(), proc.stderr.read()
+        # reap the child here, not in Popen, to read its own rusage
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, err
+    assert out == '{"universal": true}\n'
+    assert usage.ru_maxrss < 640 * 1024
+
+
 # Times the middle counts at N = 2^40 (about 1.7e11 digits) and 2^24
 # (about 2.5 million digits) inside the child.
 _COUNT_CAP_SCRIPT = """
@@ -460,6 +480,44 @@ class TestExitCodes:
         code, out, err = run(capsys, "uncertainty", "-N", "8", "--signal", str(sig))
         assert code == 2 and out == ""
         assert "signal length 9 does not match N=8" in err
+
+
+# The console script's body: `run` exits with the code itself.
+_CONSOLE_SCRIPT = "import sys; from unisamp.cli import run; sys.argv[0] = 'unisamp'; sys.exit(run())"
+
+
+@pytest.mark.parametrize("entry", [["-m", "unisamp.cli"], ["-c", _CONSOLE_SCRIPT]],
+                         ids=["module", "console-script"])
+def test_process_entry_passes_output_and_exit_codes(capsys, entry):
+    """`run` (collector off, heap frozen at exit) gives the exit codes,
+    stdout and stderr that `main` gives in process, a piped stdout of
+    about 900 kB included."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    calls = [
+        ["check", "-N", "8", "-I", "0,1,3,4,6"],
+        ["check", "-N", "8", "-I", "0,1,4,5", "--expect", "universal"],
+        ["construct", "-N", "8", "-I", "0,2,4,6", "--size", "0"],
+        ["maximal", "-N", "65536", "-I", "0..65535"],
+    ]
+    codes = []
+    for argv in calls:
+        want = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, *entry, *argv], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+        codes.append(proc.returncode)
+    assert codes == [0, 1, 2, 0]
+    assert len(proc.stdout) > 800_000
+
+
+def test_main_leaves_collector_on(capsys):
+    """Only the process entry turns the collector off; in-process
+    callers of `main` keep it."""
+    assert gc.isenabled()
+    assert run(capsys, "maximal", "-N", "9", "-I", "0,1,2,3,6")[0] == 0
+    assert gc.isenabled()
 
 
 class TestNonIntegerIndices:

@@ -20,6 +20,7 @@ from unisamp import (
     verify_uncertainty,
 )
 from unisamp.uncertainty import KNESER_FIXTURES, threshold_a
+import reference
 
 
 def iset(n, elems):
@@ -188,6 +189,38 @@ class TestRandomMaximal:
         obj = s.to_json()
         assert obj["prng"] == "PCG64"
         assert 0 <= obj["empirical_probability"] <= 1
+
+
+def _experiment_cases():
+    """(p, m, s, d, delta, trials, seed): 16 seeded draws with d the
+    largest the parameter inequality admits, then s = N, d = 1, a
+    trial count that is not a multiple of the 67 trials a block holds at
+    N = 243, and N = 2^15, where a block holds one trial."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(16):
+        p, m = [(2, 3), (3, 2), (2, 4), (3, 3), (5, 2), (2, 5), (3, 4), (2, 7)][i % 8]
+        n = p ** m
+        s = int(rng.integers(1, n))
+        delta = float(rng.choice([0.25, 0.5, 1.0]))
+        lhs = n * math.log(n / (n - s))
+        dmax = max(d for d in range(1, s + 1) if (1 + delta) * d * math.log(d) <= lhs)
+        cases.append((p, m, s, dmax, delta,
+                      int(rng.integers(1, 90)), i))
+    return cases + [
+        (3, 3, 27, 20, 0.5, 30, 16),
+        (2, 6, 10, 1, 1.0, 40, 17),
+        (3, 5, 230, 102, 0.5, 70, 18),
+        (2, 15, 3000, 356, 0.5, 5, 19),
+    ]
+
+
+class TestRandomMaximalReference:
+    @pytest.mark.parametrize("p,m,s,d,delta,trials,seed", _experiment_cases())
+    def test_equals_greedy_loop(self, p, m, s, d, delta, trials, seed):
+        got = random_maximal_experiment(PrimePowerModulus(p, m), s, d, delta, trials, seed)
+        assert got.trials == trials
+        assert got.successes == reference.random_maximal_successes(p, m, s, d, trials, seed)
 
 
 class TestRandomSignal:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from unisamp import (
     schur_valuation,
     universal_subset_of_size,
 )
+from unisamp.universality import _omega_rows
 from conftest import all_subsets, exact_pairwise_valuation
 
 M8 = PrimePowerModulus(2, 3)
@@ -240,6 +242,47 @@ class TestMaximal:
         )
 
 
+def indicator_rows(n, subsets):
+    rows = np.zeros((len(subsets), n), dtype=bool)
+    for row, subset in zip(rows, subsets):
+        row[list(subset)] = True
+    return rows
+
+
+def greedy_omegas(n, subsets, modulus):
+    return [maximal_universal(iset(n, subset), modulus).size for subset in subsets]
+
+
+class TestOmegaFold:
+    """Omega from one bottom-up fold of the congruence tree equals the
+    size of the greedy maximal universal subset."""
+
+    @pytest.mark.parametrize("modulus", [M8, M9], ids=["8", "9"])
+    def test_every_subset(self, modulus):
+        n = modulus.n
+        subsets = list(all_subsets(n))
+        got = _omega_rows(indicator_rows(n, subsets), modulus)
+        assert got.tolist() == greedy_omegas(n, subsets, modulus)
+
+    @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (2, 5)])
+    def test_seeded_subsets(self, p, m):
+        modulus, n = PrimePowerModulus(p, m), p ** m
+        rng = np.random.default_rng(1000 * p + m)
+        density = rng.random((2000, 1))
+        rows = rng.random((2000, n)) < density
+        subsets = [np.flatnonzero(row) for row in rows]
+        assert _omega_rows(rows, modulus).tolist() == greedy_omegas(n, subsets, modulus)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_larger_moduli(self, data):
+        p, m = data.draw(st.sampled_from([(3, 5), (2, 10), (5, 3)]))
+        modulus, n = PrimePowerModulus(p, m), p ** m
+        subsets = data.draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=4))
+        got = _omega_rows(indicator_rows(n, subsets), modulus)
+        assert got.tolist() == greedy_omegas(n, subsets, modulus)
+
+
 class TestPrescribedSize:
     def test_nine_full_set_seven(self):
         got = universal_subset_of_size(IndexSet.full(9), M9, 7)
@@ -279,6 +322,24 @@ class TestPrescribedSize:
             assert len(got) == d
             assert set(got).issubset(set(s))
             assert is_universal(got, modulus).is_universal
+
+    @pytest.mark.parametrize("modulus", [M8, M9], ids=["8", "9"])
+    def test_every_feasible_size_works_exhaustively(self, modulus):
+        """Every nonempty subset at N = 8 and 9 and every d <= Omega:
+        the prescribed-level greedy never hits its fallback."""
+        n = modulus.n
+        for subset in all_subsets(n):
+            if not subset:
+                continue
+            s = iset(n, subset)
+            cap = maximal_universal(s, modulus).size
+            for d in range(1, cap + 1):
+                got = universal_subset_of_size(s, modulus, d)
+                assert len(got) == d and set(got) <= set(subset)
+                assert is_universal(got, modulus).is_universal
+            if cap < len(subset):
+                with pytest.raises(InfeasibleSizeError):
+                    universal_subset_of_size(s, modulus, cap + 1)
 
 
 class TestMinimal:
