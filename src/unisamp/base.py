@@ -1,10 +1,13 @@
 """What the integer-only layer needs, with no numpy: the prime-power
-modulus and the exceptions of a failed mathematical check (the CLI's
-exit 1). `index_core`, `universality` and `fourier` re-export them.
+modulus, the exceptions of a failed mathematical check (the CLI's
+exit 1), and the decoding and integer checks of JSON input files.
+`index_core`, `universality` and `fourier` re-export the modulus and
+the exceptions.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 
@@ -22,6 +25,21 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def file_text(raw: bytes) -> str:
+    """A file's bytes decoded as `open(path).read()` decodes them: the
+    locale's encoding, strictly, with universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw)).read()
+
+
+def json_int(obj: dict, key: str) -> int:
+    """obj[key] if it is a JSON integer; 8.0, "8" and true are refused,
+    not coerced."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

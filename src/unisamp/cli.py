@@ -18,35 +18,38 @@ import sys
 # Only the numpy-free modules load here; each handler that needs numpy
 # imports its library names when it runs.
 from .base import (
-    InfeasibleSizeError, NotUniversalError, PrimePowerModulus, SingularSystemError
+    InfeasibleSizeError, NotUniversalError, PrimePowerModulus, SingularSystemError,
+    file_text, json_int,
 )
 from .counting import (
     bracelet_count, count_by_brute_force, count_universal, entropy_curve
 )
 
 
-def parse_indices(text: str) -> list[int]:
-    """Comma-separated indices with inclusive a..b range shorthand."""
-    out: list[int] = []
+def parse_indices(text: str) -> np.ndarray:
+    """Comma-separated indices with inclusive a..b range shorthand, as an
+    int64 array in the order written: one arange per item, one concatenate."""
+    import numpy as np
+
+    pieces = [np.empty(0, dtype=np.int64)]
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo_s, hi_s = part.split("..", 1)
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise ValueError(f"bad range {part!r}: endpoints must be integers")
-            if hi < lo:
-                raise ValueError(f"bad range {part!r}: end below start")
-            out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise ValueError(f"bad index {part!r}: not an integer")
-    return out
+        lo_s, dots, hi_s = part.partition("..")
+        try:
+            lo = int(lo_s)
+            hi = int(hi_s) if dots else lo
+        except ValueError:
+            raise ValueError(f"bad range {part!r}: endpoints must be integers" if dots
+                             else f"bad index {part!r}: not an integer")
+        if hi < lo:
+            raise ValueError(f"bad range {part!r}: end below start")
+        try:
+            pieces.append(np.arange(lo, hi + 1, dtype=np.int64))
+        except OverflowError as exc:  # the message IndexSet gives a list of such ints
+            raise ValueError(f"indices must be integers: {exc}") from None
+    return np.concatenate(pieces)
 
 
 def parse_index_set(text: str, n: int) -> IndexSet:
@@ -54,19 +57,23 @@ def parse_index_set(text: str, n: int) -> IndexSet:
     from .index_core import IndexSet
 
     if text.startswith("@"):
-        iset = IndexSet.from_json(_load_json(text[1:]))
+        iset = _load_json(text[1:], IndexSet.loads)
         if iset.n != n:
             raise ValueError(f"file declares n={iset.n}, command line says N={n}")
         return iset
     return IndexSet.of(n, parse_indices(text))
 
 
-def _load_json(path: str):
+def _load_json(path: str, loads=None):
+    """A file read once as bytes (a pipe works) and parsed by `loads`,
+    by default `json.loads` of its text."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
+    try:
+        return loads(raw) if loads else json.loads(file_text(raw))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}")
 
@@ -293,6 +300,7 @@ def _interpolate(args) -> int:
     samples_obj = _load_json(args.samples)
     support_obj = _load_json(args.support)
     try:
+        samples_n = json_int(samples_obj, "n")
         indices = samples_obj["indices"]
         sample_set = IndexSet.of(args.N, indices)
         values = [complex(re, im) for re, im in samples_obj["values"]]
@@ -303,10 +311,11 @@ def _interpolate(args) -> int:
         raise ValueError(f"{len(indices)} sample indices but {len(values)} values")
     # interpolate takes the values in increasing index order
     values = [v for _, v in sorted(zip(indices, values), key=lambda iv: int(iv[0]))]
-    if support.n != args.N:
-        raise ValueError(
-            f"support file declares n={support.n}, command line says N={args.N}"
-        )
+    for name, declared in (("samples", samples_n), ("support", support.n)):
+        if declared != args.N:
+            raise ValueError(
+                f"{name} file declares n={declared}, command line says N={args.N}"
+            )
     signal = interpolate(values, sample_set, support, args.N)
     _emit(signal.to_json())
     return 0

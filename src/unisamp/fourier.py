@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import SingularSystemError
+from .base import SingularSystemError, json_int
 from .index_core import IndexSet, bracelet_canonical, bracelet_representatives
 
 DEFAULT_TOLERANCE = 1e-10
@@ -55,7 +55,7 @@ class Signal:
     @classmethod
     def from_json(cls, obj: dict) -> "Signal":
         try:
-            n = int(obj["n"])
+            n = json_int(obj, "n")
             values = [complex(float(re), float(im)) for re, im in obj["values"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad signal JSON (need 'n' and 'values'): {exc}")
@@ -220,7 +220,7 @@ def interpolate(
     report = _rank_report(entries, tolerance)
     if not report.full_rank:
         raise SingularSystemError(report)
-    a = entries.conj()
+    a = np.conj(entries, out=entries)  # the gate is done with `entries`
     c = np.linalg.solve(a, b)
     c += np.linalg.solve(a, b - a @ c)  # one refinement pass
     spectrum = np.zeros(n, dtype=np.complex128)

@@ -11,13 +11,15 @@ sequences. `PrimePowerModulus` (from `base`) and `bracelet_count` (from
 from __future__ import annotations
 
 import json
+import re
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .base import PrimePowerModulus
+from .base import PrimePowerModulus, file_text, json_int
 from .counting import bracelet_count  # noqa: F401
 
 
@@ -119,7 +121,7 @@ class IndexSet:
     @classmethod
     def from_json(cls, obj: dict) -> "IndexSet":
         try:
-            n = int(obj["n"])
+            n = json_int(obj, "n")
             indices = _int_array(obj["indices"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad index set JSON (need 'n' and 'indices'): {exc}")
@@ -127,6 +129,67 @@ class IndexSet:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
+
+    @classmethod
+    def loads(cls, raw: bytes) -> "IndexSet":
+        """The inverse of `dumps`, from a file's bytes: a plain file goes
+        to an int64 array with no Python int per index, any other input
+        through `from_json(json.loads(text))`, with the same outcome."""
+        plain = _plain_index_set(raw)
+        if plain is None:
+            return cls.from_json(json.loads(file_text(raw)))
+        n, arr = plain
+        if np.count_nonzero(arr[1:] < arr[:-1]):  # a file from `dumps` is sorted
+            arr.sort()
+        return cls.__new__(cls)._adopt(n, arr)
+
+
+_INDICES_OPEN = re.compile(rb'"indices"[ \t\n\r]*:[ \t\n\r]*\[')
+# digits and the comma map to themselves, every other byte to "x"
+_DIGITS_COMMA = bytes(c if c in b"0123456789," else ord("x") for c in range(256))
+
+
+def _plain_index_set(raw: bytes):
+    """(n, int64 indices in file order) of a JSON object whose only
+    "indices" holds canonical non-negative integers below min(n, 10^18),
+    n an integer; None for any other input. The array text reaches
+    `np.fromstring` only if, whitespace removed, it is digit runs joined
+    by commas, none empty (a blank item parses as 0); a leading zero, or
+    a run the parse stopped at (as at a space inside a number), then
+    shows as more digits than the values have. The rest, the array
+    emptied, must be an object with that empty "indices" at top level
+    and no backslash (an escape could spell another key)."""
+    opened = _INDICES_OPEN.search(raw)
+    end = raw.find(b"]", opened.end()) if opened else -1
+    if end < 0:
+        return None
+    rest, text = raw[:opened.end()] + raw[end:], raw[opened.end():end]
+    body = text.translate(_DIGITS_COMMA, b" \t\n\r")
+    # ",," as one uint16 at even or odd offsets: 6x faster than `in`
+    pairs = (np.frombuffer(body, "<u2", (len(body) - s) // 2, s) for s in (0, 1))
+    if (not body or b"x" in body or body[:1] == b"," or body[-1:] == b","
+            or any(np.any(pair == 0x2C2C) for pair in pairs)
+            or b"\\" in rest or rest.count(b'"indices"') != 1):
+        return None
+    try:
+        obj = json.loads(file_text(rest))
+    except (ValueError, RecursionError):
+        return None
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is not int or obj.get("indices") != []:
+        return None
+    length = len(body)
+    del body  # the parse's peak is raw, text and the array
+    with warnings.catch_warnings():  # numpy 2.4 raises where older ones warn and stop
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            arr = np.fromstring(text, dtype=np.int64, sep=",")
+        except ValueError:
+            return None
+    top = int(arr.max(initial=0))
+    digits = length - len(arr) + 1 - sum(  # minus the values' digits past the first
+        np.count_nonzero(arr >= 10 ** k) for k in range(1, len(str(top))))
+    return (n, arr) if top < min(n, 10 ** 18) and digits == len(arr) else None
 
 
 @lru_cache(maxsize=None)

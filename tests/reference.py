@@ -1,7 +1,7 @@
 """Pure-Python reference for the residue criterion, the greedy
 constructions, the random-subset experiment, the dihedral canonical
-form, the oracle's column classes and the condition bound, and a plain
-rank oracle.
+form, the oracle's column classes and the condition bound, a plain
+rank oracle, and the `json` parse of an index-set file.
 
 These are the package's original algorithms over tuples, sets and
 Python-int bitmasks: a histogram built by looping over every element at
@@ -12,6 +12,7 @@ minor, with no classes and no complement. They are slow but plainly
 correct, and the array versions are checked against them.
 """
 
+import json
 import math
 from itertools import combinations
 
@@ -182,3 +183,22 @@ def plain_oracle(elements, n, tolerance=1e-10):
     minors = np.exp(-2j * np.pi * (rows[None, :, None] * cols[:, None, :] % n) / n)
     sv = np.linalg.svd(minors, compute_uv=False)
     return bool(np.all(sv[:, -1] > tolerance * d * sv[:, 0]))
+
+
+def parse_index_file(path, n):
+    """`-I @path` as the CLI parsed it before its array reader: the
+    file's text through `json.load`, one Python int per index, then
+    `IndexSet.from_json`."""
+    from unisamp.index_core import IndexSet
+
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON in {path}: {exc}")
+    iset = IndexSet.from_json(obj)
+    if iset.n != n:
+        raise ValueError(f"file declares n={iset.n}, command line says N={n}")
+    return iset

@@ -25,10 +25,10 @@ def run(capsys, *argv):
 
 class TestParsing:
     def test_plain_list(self):
-        assert parse_indices("0,3,1") == [0, 3, 1]
+        assert parse_indices("0,3,1").tolist() == [0, 3, 1]
 
     def test_ranges(self):
-        assert parse_indices("0..4,6,7") == [0, 1, 2, 3, 4, 6, 7]
+        assert parse_indices("0..4,6,7").tolist() == [0, 1, 2, 3, 4, 6, 7]
 
     def test_bad_range(self):
         with pytest.raises(ValueError, match="range"):
