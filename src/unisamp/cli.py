@@ -27,8 +27,9 @@ from .counting import (
 
 
 def parse_indices(text: str) -> np.ndarray:
-    """Comma-separated indices with inclusive a..b range shorthand, as an
-    int64 array in the order written: one arange per item, one concatenate."""
+    """Comma-separated indices with inclusive a..b range shorthand, as a
+    new int64 array in the order written: one arange per item, joined
+    unless there is only one."""
     import numpy as np
 
     pieces = [np.empty(0, dtype=np.int64)]
@@ -49,7 +50,7 @@ def parse_indices(text: str) -> np.ndarray:
             pieces.append(np.arange(lo, hi + 1, dtype=np.int64))
         except OverflowError as exc:  # the message IndexSet gives a list of such ints
             raise ValueError(f"indices must be integers: {exc}") from None
-    return np.concatenate(pieces)
+    return pieces[1] if len(pieces) == 2 else np.concatenate(pieces)
 
 
 def parse_index_set(text: str, n: int) -> IndexSet:
@@ -61,7 +62,7 @@ def parse_index_set(text: str, n: int) -> IndexSet:
         if iset.n != n:
             raise ValueError(f"file declares n={iset.n}, command line says N={n}")
         return iset
-    return IndexSet.of(n, parse_indices(text))
+    return IndexSet._own(n, parse_indices(text))
 
 
 def _load_json(path: str, loads=None):

@@ -186,8 +186,10 @@ def brute_force_universal(
         )
     if 2 * d > n:
         index_set = index_set.complement()
-    if not len(index_set):
-        return True
+    if len(index_set) <= 1:
+        # no minor, or 1 x 1 minors, whose sigma_min = sigma_max fails
+        # the test below exactly when tolerance >= 1
+        return not index_set or tolerance < 1
     return _oracle_verdict(bracelet_canonical(index_set).canonical, tolerance)
 
 

@@ -73,11 +73,16 @@ class IndexSet:
         return cls.__new__(cls)._adopt(n, arr, check=False)
 
     @classmethod
-    def of(cls, n: int, elements: Iterable[int]) -> "IndexSet":
-        """Build from any iterable; sorts and rejects duplicates."""
-        arr = _int_array(elements)
+    def _own(cls, n: int, arr: np.ndarray) -> "IndexSet":
+        """Wrap a new int64 array that nothing else holds: sorted in
+        place, then checked, never copied."""
         arr.sort()
         return cls.__new__(cls)._adopt(n, arr)
+
+    @classmethod
+    def of(cls, n: int, elements: Iterable[int]) -> "IndexSet":
+        """Build from any iterable; sorts and rejects duplicates."""
+        return cls._own(n, _int_array(elements))
 
     @classmethod
     def full(cls, n: int) -> "IndexSet":
@@ -125,7 +130,7 @@ class IndexSet:
             indices = _int_array(obj["indices"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad index set JSON (need 'n' and 'indices'): {exc}")
-        return cls.of(n, indices)
+        return cls._own(n, indices)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())

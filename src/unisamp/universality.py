@@ -19,7 +19,6 @@ from .base import InfeasibleSizeError, NotUniversalError
 from .index_core import (
     IndexSet,
     PrimePowerModulus,
-    ResidueHistogram,
     residue_histogram,
 )
 
@@ -49,8 +48,8 @@ class UniversalDecomposition:
         return tuple(k for k, _ in self.pieces)
 
     def union(self, n: int) -> IndexSet:
-        arrays = [piece.array for _, piece in self.pieces]
-        return IndexSet.of(n, np.concatenate(arrays) if arrays else [])
+        arrays = [np.empty(0, dtype=np.int64)] + [piece.array for _, piece in self.pieces]
+        return IndexSet._own(n, np.concatenate(arrays))
 
     def to_json(self) -> dict:
         return {
@@ -141,17 +140,19 @@ def schur_valuation(index_set: IndexSet, modulus: PrimePowerModulus) -> SchurVal
     val_p(prod_{i<j}(m_j - m_i)) = sum over levels k >= 1 of
     sum_a C(count_k(a), 2): each pair congruent mod p^k contributes one
     factor of p per level it survives. The integers themselves are never
-    formed; they overflow fast.
+    formed; they overflow fast. A level's counts sum to |I|, so its term
+    is (row . row - |I|) / 2, and row . row <= |I|^2 is exact in int64
+    for |I| < 3 * 10^9.
     """
     if len(index_set) == 0:
         raise ValueError("valuation of an empty product is undefined here")
     hist = residue_histogram(index_set, modulus)
-    c = hist.flat[1:]
-    num = int((c * (c - 1) // 2).sum())
+    d, p, arr = len(index_set), modulus.p, index_set.array
+    rows = map(hist.row, range(1, hist.top + 1))
+    num = sum(int(np.dot(row, row)) - d for row in rows) // 2
     # Above the stored levels, pairs are counted from sorted residues
     # until the residues are distinct. Two distinct elements differ by
     # less than p^M, so no pair is congruent mod p^M.
-    d, p, arr = len(index_set), modulus.p, index_set.array
     k, pairs = hist.top + 1, int(hist.hi[hist.top] > 1)
     while pairs and k < modulus.m:
         r = np.sort(arr % p ** k)
@@ -165,12 +166,19 @@ def schur_valuation(index_set: IndexSet, modulus: PrimePowerModulus) -> SchurVal
     return SchurValuation(num, den)
 
 
-def _largest_full_level(hist: ResidueHistogram) -> int:
-    """Largest k such that every class mod p^k meets the set. A full
-    level has p^k <= |I|, so it is stored, and full levels are nested."""
-    empty = hist.lo == 0
-    k = int(empty.argmax())
-    return k - 1 if empty[k] else hist.top
+def _full_level(arr: np.ndarray, p: int) -> int:
+    """Largest k such that every class mod p^k meets the set (0 for the
+    empty set). A full level has p^k <= |I|, and full levels are nested,
+    so the occupancy of the classes at the largest such k is folded one
+    level down at a time (classes a + j p^(k-1) merge) until all are hit."""
+    k, pk = 0, 1
+    while pk * p <= len(arr):  # so k <= M, as |I| <= N
+        k, pk = k + 1, pk * p
+    occupied = np.zeros(pk, dtype=bool)
+    occupied[arr % pk] = True
+    while k and not occupied.all():
+        occupied, k = occupied.reshape(p, -1).any(0), k - 1
+    return k
 
 
 def _extract_piece(index_set: IndexSet, k: int, modulus: PrimePowerModulus) -> tuple[IndexSet, IndexSet]:
@@ -202,7 +210,8 @@ def maximal_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> Maxima
     Repeatedly finds the deepest level whose classes are all occupied,
     strips an elementary piece there, and discards everything sharing a
     class one level deeper with the piece. The union of the pieces is a
-    maximum-cardinality universal subset.
+    maximum-cardinality universal subset. No residue pyramid is built:
+    the working set is a few arrays the size of the input's.
     """
     if index_set.n != modulus.n:
         raise ValueError(
@@ -211,7 +220,7 @@ def maximal_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> Maxima
     remaining = index_set
     pieces: list[tuple[int, IndexSet]] = []
     while len(remaining):
-        k = _largest_full_level(residue_histogram(remaining, modulus))
+        k = _full_level(remaining.array, modulus.p)
         piece, remaining = _extract_piece(remaining, k, modulus)
         pieces.append((k, piece))
     decomposition = UniversalDecomposition(tuple(pieces))
@@ -273,7 +282,7 @@ def universal_subset_of_size(
         except LookupError as exc:
             raise InfeasibleSizeError(d, cap) from exc
         collected.append(piece.array)
-    result = IndexSet.of(modulus.n, np.concatenate(collected))
+    result = IndexSet._own(modulus.n, np.concatenate(collected))
     assert len(result) == d
     return result
 

@@ -280,6 +280,24 @@ def test_oracle_single_row_at_2_24_bounded_rss():
     assert usage.ru_maxrss < 640 * 1024
 
 
+def test_oracle_one_row_needs_no_row_block():
+    """A tested set of one element is decided without its 1 x N row
+    block, so `oracle -N 2^24 -I 0` peaks under 100 MB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with subprocess.Popen(
+        [sys.executable, "-m", "unisamp.cli", "oracle", "-N", "16777216", "-I", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    ) as proc:
+        out, err = proc.stdout.read(), proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, err
+    assert out == '{"universal": true}\n'
+    assert usage.ru_maxrss < 100 * 1024
+
+
 # Times the middle counts at N = 2^40 (about 1.7e11 digits) and 2^24
 # (about 2.5 million digits) inside the child.
 _COUNT_CAP_SCRIPT = """

@@ -128,6 +128,20 @@ class TestBruteForceUniversal:
             s = iset(n, rng.sample(range(n), d))
             assert brute_force_universal(s, n) == is_universal(s, modulus).is_universal
 
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("tolerance", [1e-10, 0.5, 0.999, 1.0, 2.0])
+    def test_one_element_against_its_minors(self, n, tolerance):
+        """A set of one element, or missing one, is decided with no row
+        block; the verdict still equals the rank test of every 1 x 1
+        minor of the one-element side (all fail once tolerance >= 1)."""
+        for a in range(n):
+            minors = all(is_invertible(iset(n, [a]), iset(n, [b]), n, tolerance).full_rank
+                         for b in range(n))
+            assert minors == (tolerance < 1)
+            assert brute_force_universal(iset(n, [a]), n, tolerance) == minors
+            rest = [e for e in range(n) if e != a]
+            assert brute_force_universal(iset(n, rest), n, tolerance) == minors
+
     def test_consecutive_rows_past_half(self):
         """Consecutive rows give Vandermonde minors in distinct nodes, so
         every column set passes; at d = 98 of 100 the oracle tests the

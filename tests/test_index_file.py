@@ -276,7 +276,8 @@ class TestIntegerN:
 
 def test_range_to_2_24_bounded_rss():
     """`0..16777214` is one int64 arange, not a list of 2^24 Python ints,
-    so the oracle call on it peaks under 750 MB."""
+    adopted by the set without a copy, and its one-row complement needs
+    no row block, so the oracle call on it peaks under 300 MB."""
     with subprocess.Popen(
         [sys.executable, "-m", "unisamp.cli", "oracle", "-N", "16777216",
          "-I", "0..16777214"],
@@ -290,7 +291,21 @@ def test_range_to_2_24_bounded_rss():
         proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0, err
     assert out == '{"universal": true}\n'
-    assert usage.ru_maxrss < 750 * 1024
+    assert usage.ru_maxrss < 300 * 1024
+
+
+def test_range_parse_adopts_its_arange():
+    """A single a..b range becomes the set's own array: no concatenated
+    or sorted copy, so the parse peaks under 1.5 x the array's bytes."""
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        iset = parse_index_set(f"0..{n - 2}", n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(iset) == n - 1
+    assert peak < 1.5 * iset.array.nbytes
 
 
 def test_interpolate_peak_at_4096_512():

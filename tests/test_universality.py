@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from unisamp import (
     schur_valuation,
     universal_subset_of_size,
 )
-from unisamp.universality import _omega_rows
+from unisamp.universality import _full_level, _omega_rows
 from conftest import all_subsets, exact_pairwise_valuation
+import reference
 
 M8 = PrimePowerModulus(2, 3)
 M9 = PrimePowerModulus(3, 2)
@@ -240,6 +242,57 @@ class TestMaximal:
             + maximal_universal(s.complement(), modulus).size
             == n
         )
+
+
+class TestFullLevel:
+    """The greedy's level from folded class occupancy equals the
+    reference's scan of the classes at every level."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, data):
+        p, m = data.draw(st.sampled_from([(2, 3), (2, 8), (3, 2), (3, 5), (5, 2), (5, 3)]))
+        n = p ** m
+        kind = data.draw(st.sampled_from(["random", "universal", "empty", "full"]))
+        elems = {"empty": set(), "full": set(range(n))}.get(kind)
+        if elems is None:
+            elems = data.draw(st.sets(st.integers(0, n - 1)))
+        if kind == "universal":  # the reference greedy's union is universal
+            elems = {e for _, piece in reference.maximal(elems, p, m) for e in piece}
+        got = _full_level(iset(n, elems).array, p)
+        assert got == reference._largest_full_level(elems, p, m)
+
+
+def _half_set(p, m):
+    n = p ** m
+    return iset(n, np.random.default_rng(n).choice(n, n // 2, replace=False))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p,m", [(2, 20), (3, 12)])
+class TestWorkingSet:
+    """On half sets at 2^20 and 3^12 the residue calls allocate a small
+    multiple of the input array's bytes."""
+
+    def test_maximal_folds_occupancy(self, p, m):
+        """No residue pyramid: at most 2 x the array's bytes."""
+        s, modulus = _half_set(p, m), PrimePowerModulus(p, m)
+        assert _traced_peak(lambda: maximal_universal(s, modulus)) <= 2 * s.array.nbytes
+
+    def test_valuation_reads_the_cached_pyramid(self, p, m):
+        """Sum C(c, 2) from one dot product per level: no temporaries
+        the size of the pyramid, under 0.5 x the array's bytes."""
+        s, modulus = _half_set(p, m), PrimePowerModulus(p, m)
+        residue_histogram(s, modulus)
+        assert _traced_peak(lambda: schur_valuation(s, modulus)) < 0.5 * s.array.nbytes
 
 
 def indicator_rows(n, subsets):
