@@ -295,7 +295,9 @@ def _oracle(args) -> int:
 
 
 def _interpolate(args) -> int:
-    from .fourier import interpolate
+    import numpy as np
+
+    from .fourier import complex_values, interpolate
     from .index_core import IndexSet
 
     samples_obj = _load_json(args.samples)
@@ -304,14 +306,14 @@ def _interpolate(args) -> int:
         samples_n = json_int(samples_obj, "n")
         indices = samples_obj["indices"]
         sample_set = IndexSet.of(args.N, indices)
-        values = [complex(re, im) for re, im in samples_obj["values"]]
+        values = complex_values(samples_obj["values"])
         support = IndexSet.from_json(support_obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad samples/support JSON: {exc}")
     if len(values) != len(indices):
         raise ValueError(f"{len(indices)} sample indices but {len(values)} values")
     # interpolate takes the values in increasing index order
-    values = [v for _, v in sorted(zip(indices, values), key=lambda iv: int(iv[0]))]
+    values = values[np.argsort(indices)]
     for name, declared in (("samples", samples_n), ("support", support.n)):
         if declared != args.N:
             raise ValueError(

@@ -4,18 +4,15 @@ bandlimited interpolation.
 Everything here is the analytic side of the story: invertibility of
 row/column submatrices of the N-point DFT decided numerically, which
 serves as the independent ground truth for the combinatorial criteria.
-
-Only numpy is imported at load time. scipy is needed by
-find_sampling_set alone and is imported on its first call.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -25,41 +22,55 @@ from .index_core import IndexSet, bracelet_canonical, bracelet_representatives
 DEFAULT_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
+def complex_values(pairs) -> np.ndarray:
+    """The complex128 array of a JSON list of [re, im] pairs of JSON
+    numbers; strings, booleans and pairs of any other length are refused."""
+    try:
+        if ({*map(type, chain.from_iterable(pairs))} <= {int, float}
+                and {*map(len, pairs)} <= {2}):
+            return np.array(pairs, dtype=np.float64).view(np.complex128).ravel()
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValueError("values must be [re, im] pairs of JSON numbers")
+
+
 class Signal:
-    """Complex signal of length n."""
+    """Complex signal of length n, held as `values`, a read-only array."""
 
-    n: int
-    values: tuple[complex, ...]
+    __slots__ = ("n", "values")
 
-    def __post_init__(self) -> None:
-        if not all(map(cmath.isfinite, self.values)):
+    def __init__(self, n: int, values) -> None:
+        arr = np.array(values, dtype=np.complex128)  # a new array, also from an array
+        if not np.isfinite(arr).all():
             raise ValueError("values must be finite")
-        if len(self.values) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(self.values)}")
+        if arr.shape != (n,):
+            raise ValueError(f"expected {n} values, got {arr.size}")
+        arr.setflags(write=False)
+        self.n, self.values = n, arr
 
     @classmethod
     def of(cls, values) -> "Signal":
-        vals = tuple(complex(v) for v in values)
-        return cls(len(vals), vals)
+        return cls(len(values), values)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.complex128)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Signal):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.values, other.values)
 
     def spectrum(self) -> "Signal":
-        return Signal.of(np.fft.fft(self.as_array()))
+        return Signal.of(np.fft.fft(self.values))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "values": [[v.real, v.imag] for v in self.values]}
+        return {"n": self.n, "values": self.values.view(np.float64).reshape(-1, 2).tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Signal":
         try:
             n = json_int(obj, "n")
-            values = [complex(float(re), float(im)) for re, im in obj["values"]]
+            values = complex_values(obj["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad signal JSON (need 'n' and 'values'): {exc}")
-        return cls(n, tuple(values))
+        return cls(n, values)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
@@ -213,7 +224,7 @@ def interpolate(
         raise ValueError(
             f"sample set size {d} must match support size {len(support)}"
         )
-    b = np.asarray(list(samples), dtype=np.complex128)
+    b = np.asarray(samples, dtype=np.complex128)
     if b.shape != (d,):
         raise ValueError(f"expected {d} sample values, got shape {b.shape}")
     if not np.isfinite(b).all():
@@ -246,15 +257,25 @@ def interpolating_basis(
 
 def find_sampling_set(basis_matrix, tolerance: float = DEFAULT_TOLERANCE) -> IndexSet:
     """Pick d rows of an N x d rank-d matrix forming a well-conditioned
-    square submatrix, by pivoted QR on the transpose."""
-    import scipy.linalg  # the only scipy use; kept off the import path
-    r = np.asarray(basis_matrix, dtype=np.complex128)
+    square submatrix: the pivots of QR with column pivoting on the
+    transpose, in O(N d^2). Each step takes the row of largest residual
+    norm, the first on ties, and projects it out of the others."""
+    r = np.array(basis_matrix, dtype=np.complex128)  # residuals, reduced in place
     n, d = r.shape
-    _, rq, piv = scipy.linalg.qr(r.T.conj(), pivoting=True, mode="economic")
-    diag = np.abs(np.diag(rq))
-    if diag.size < d or diag[-1] <= tolerance * d * diag[0]:
+    floor = tolerance * d * np.linalg.norm(r, axis=1).max(initial=0.0)
+    rows = []
+    for _ in range(min(n, d)):
+        norms = np.linalg.norm(r, axis=1)
+        p = int(np.argmax(norms))
+        if norms[p] <= floor:
+            break
+        q = r[p] / norms[p]
+        r -= np.outer(r @ q.conj(), q)
+        r[p] = 0
+        rows.append(p)
+    if len(rows) < d:
         raise ValueError(f"matrix rank below {d}; no sampling set exists")
-    return IndexSet.of(n, (int(i) for i in piv[:d]))
+    return IndexSet.of(n, rows)
 
 
 @dataclass(frozen=True)
@@ -268,7 +289,7 @@ def condition_report(sample_set: IndexSet, support: IndexSet, n: int) -> Conditi
     sample block, with the product-of-sines lower bound
     sqrt(d) * (prod over ordered pairs |2 sin(pi*(j1-j2)/N)|)^{-1/(2d)}."""
     d = len(sample_set)
-    if sample_set.elements != tuple(range(d)):
+    if not np.array_equal(sample_set.array, np.arange(d)):
         raise ValueError("the bound requires sample set [0:d-1]")
     if len(support) != d:
         raise ValueError(

@@ -26,8 +26,10 @@ from .counting import bracelet_count  # noqa: F401
 def _int_array(values) -> np.ndarray:
     """A new one-dimensional int64 array of the given integers. Values of
     any other type (0.5, 2.0, "3", True) are refused, not truncated."""
-    if not isinstance(values, (np.ndarray, list, tuple)):
-        values = list(values)
+    if not isinstance(values, np.ndarray):
+        values = values if isinstance(values, (list, tuple)) else list(values)
+        if not {bool, np.bool_}.isdisjoint(map(type, values)):  # else cast to 0 or 1
+            raise ValueError("indices must be integers, got bool values")
     arr = np.array(values)  # a new array, also from an array
     if arr.dtype.kind != "i":
         if arr.size and arr.dtype.kind not in "uO":

@@ -34,7 +34,7 @@ def support_profile(signal: Signal, tolerance: Optional[float] = None) -> Suppor
     Default tolerance is 1e-9 times the largest magnitude, so structural
     zeros of synthesized signals classify correctly despite roundoff.
     """
-    mags = np.abs(signal.as_array())
+    mags = np.abs(signal.values)
     if tolerance is None:
         tolerance = 1e-9 * float(mags.max(initial=0.0))
     if not tolerance >= 0:

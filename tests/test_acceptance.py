@@ -185,7 +185,7 @@ def _round_trip_trials(n, p, m, trials, seed):
         spectrum[idx] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         f = np.fft.ifft(spectrum)
         samples = f[np.asarray(sample_set.elements)]
-        got = interpolate(samples, sample_set, support, n).as_array()
+        got = interpolate(samples, sample_set, support, n).values
         rel = np.linalg.norm(got - f) / np.linalg.norm(f)
         assert rel < 1e-8, f"N={n}, d={d}: relative error {rel:.2e}"
         rep = condition_report(iset(n, range(d)), support, n)

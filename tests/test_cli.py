@@ -564,6 +564,63 @@ class TestNonIntegerIndices:
         assert "indices must be integers" in err
 
 
+class TestBooleanIndices:
+    """A JSON true among integer indices is refused, not read as 1."""
+
+    def test_index_file(self, capsys, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text('{"n": 8, "indices": [true, 3]}')
+        code, out, err = run(capsys, "check", "-N", "8", "-I", f"@{path}")
+        assert (code, out) == (2, "") and "indices must be integers" in err
+
+    def test_samples_file(self, capsys, tmp_path):
+        samples_file = tmp_path / "samples.json"
+        samples_file.write_text(
+            '{"n": 8, "indices": [true, 3], "values": [[1, 0], [0, 1]]}')
+        support_file = tmp_path / "support.json"
+        support_file.write_text('{"n": 8, "indices": [1, 2]}')
+        code, out, err = run(
+            capsys, "interpolate", "-N", "8",
+            "--samples", str(samples_file), "--support", str(support_file),
+        )
+        assert (code, out) == (2, "") and "indices must be integers" in err
+
+
+def run_with_pair(capsys, tmp_path, command, pair):
+    """`uncertainty --signal` or `interpolate --samples` on a file whose
+    first value is the JSON text `pair`; the other values are valid."""
+    path = tmp_path / "values.json"
+    if command == "uncertainty":
+        path.write_text('{"n": 8, "values": [%s%s]}' % (pair, ", [0, 0]" * 7))
+        return run(capsys, "uncertainty", "-N", "8", "--signal", str(path))
+    path.write_text('{"n": 8, "indices": [0, 3], "values": [%s, [1, 0]]}' % pair)
+    support_file = tmp_path / "support.json"
+    support_file.write_text('{"n": 8, "indices": [1, 2]}')
+    return run(capsys, "interpolate", "-N", "8",
+               "--samples", str(path), "--support", str(support_file))
+
+
+@pytest.mark.parametrize("command,context", [
+    ("uncertainty", "bad signal JSON (need 'n' and 'values')"),
+    ("interpolate", "bad samples/support JSON"),
+], ids=["signal", "samples"])
+class TestValueContract:
+    """Signal and sample values are [re, im] pairs of JSON numbers, read
+    by one reader with one message for every malformed pair."""
+
+    @pytest.mark.parametrize("pair", [
+        '["1.5", 0]', "[true, 0]", "[1]", "[1, 0, 0]", "[1%s, 0]" % ("0" * 400),
+    ], ids=["string", "bool", "one-element", "three-element", "past-float-range"])
+    def test_malformed_pair(self, capsys, tmp_path, command, context, pair):
+        message = f"error: {context}: values must be [re, im] pairs of JSON numbers\n"
+        assert run_with_pair(capsys, tmp_path, command, pair) == (2, "", message)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite(self, capsys, tmp_path, command, context, bad):
+        got = run_with_pair(capsys, tmp_path, command, f"[{bad}, 0]")
+        assert got == (2, "", "error: values must be finite\n")
+
+
 # Runs in a fresh interpreter where `import scipy` fails, writes the
 # input files into the directory given as argv[1], runs one small valid
 # call of every subcommand and prints the exit codes and the top-level
@@ -612,10 +669,9 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 
 
 def test_every_command_runs_without_scipy(tmp_path):
-    """scipy is needed by find_sampling_set alone, so no command path
-    may import it: each call in the script succeeds with `import scipy`
-    failing, and nothing outside the standard library, numpy and unisamp
-    loads."""
+    """numpy is the only runtime dependency: each call in the script
+    succeeds with `import scipy` failing, and nothing outside the
+    standard library, numpy and unisamp loads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_ONLY_SCRIPT, str(tmp_path)],

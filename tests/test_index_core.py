@@ -83,6 +83,16 @@ class TestIndexSet:
                      np.array([3, 1], dtype=np.uint8), [np.int64(3), 1]):
             assert IndexSet.of(8, ints).elements == (1, 3)
 
+    def test_rejects_booleans_next_to_integers(self):
+        """numpy casts [True, 2] to int64 [1, 2]; the bool is refused."""
+        import numpy as np
+
+        for bad in ([True, 2], (2, False), [np.True_, 3], [3, True, 2 ** 40]):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                IndexSet.of(8, bad)
+        with pytest.raises(ValueError, match="indices must be integers"):
+            IndexSet.from_json({"n": 8, "indices": [True, 3]})
+
     def test_complement_and_mask(self):
         s = IndexSet.of(6, [0, 2, 5])
         assert s.complement().elements == (1, 3, 4)
