@@ -11,20 +11,40 @@ import io
 from dataclasses import dataclass
 
 
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CERTIFIED = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division; fine at desk scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin to PRIME_BASES, which decides every n below
+    PRIME_CERTIFIED (Sorenson and Webster, Math. Comp. 86 (2017)). A
+    composite is always refused; a larger n that passes every base
+    raises ValueError, as its primality is not proved."""
+    if n < 2 or any(n % a == 0 for a in PRIME_BASES):
+        return n in PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
+    if n >= PRIME_CERTIFIED:
+        raise ValueError(f"primality of {n} is proved only below {PRIME_CERTIFIED}")
     return True
+
+
+def _iroot(n: int, m: int) -> int:
+    """floor(n^(1/m)) for n >= 1, by integer Newton steps from above, so
+    that no float limits n."""
+    x = 1 << -(-n.bit_length() // m)
+    while (y := ((m - 1) * x + n // x ** (m - 1)) // m) < x:
+        x = y
+    return x
 
 
 def file_text(raw: bytes) -> str:
@@ -61,25 +81,16 @@ class PrimePowerModulus:
 
     @classmethod
     def from_n(cls, n: int) -> "PrimePowerModulus":
-        """Factor n as p^M, or raise ValueError if n is not a prime power."""
+        """Factor n as p^M, or raise ValueError if n is not a prime power.
+        M is the largest exponent with an exact root, so the root is no
+        perfect power, and n is a prime power iff the root is prime."""
         if n < 2:
             raise ValueError(f"N must be >= 2, got {n}")
-        for p in range(2, n + 1):
-            if p * p > n:
-                break
-            if n % p == 0:
-                m = 0
-                rest = n
-                while rest % p == 0:
-                    rest //= p
-                    m += 1
-                if rest != 1:
-                    raise ValueError(
-                        f"N = {n} is not a prime power; "
-                        "only the brute-force rank oracle applies"
-                    )
-                return cls(p, m)
-        return cls(n, 1)  # n itself is prime
+        m = next(m for m in range(n.bit_length(), 0, -1) if _iroot(n, m) ** m == n)
+        if not is_prime(_iroot(n, m)):
+            raise ValueError(f"N = {n} is not a prime power; "
+                             "only the brute-force rank oracle applies")
+        return cls(_iroot(n, m), m)
 
 
 class NotUniversalError(ValueError):

@@ -5,7 +5,8 @@ its subparser is declared; `main` alone maps exceptions to exit codes.
 Exit codes: 0 success, 1 failed mathematical check (a verdict that
 contradicts --expect, a violated bound, a non-universal set to
 decompose, an infeasible size, a singular interpolation system),
-2 usage error (bad arguments, malformed JSON, wrong modulus class).
+2 usage error (bad arguments, malformed JSON, wrong modulus class) or a
+request that runs out of memory.
 """
 
 from __future__ import annotations
@@ -403,9 +404,9 @@ def main(argv=None) -> int:
     except (InfeasibleSizeError, SingularSystemError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # usage errors and domain preconditions (bad modulus class, sizes)
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # usage errors, domain preconditions and requests past memory
+        print("error:", str(exc) or type(exc).__name__, file=sys.stderr)
         return 2
 
 

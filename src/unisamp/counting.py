@@ -38,39 +38,34 @@ def base_p_expansion(d: int, modulus: PrimePowerModulus) -> BasePExpansion:
     if not 0 <= d <= modulus.n:
         raise ValueError(f"cardinality {d} outside [0:{modulus.n}]")
     p, m = modulus.p, modulus.m
-    digits = []
-    rest = d
-    for i in range(m):
-        place = p ** (m - 1 - i)
-        q, rest = divmod(rest, place)
-        digits.append(q)
-    suffixes = [d]
-    acc = d
-    for i, digit in enumerate(digits):
-        acc -= digit * p ** (m - 1 - i)
-        suffixes.append(acc)
-    # suffixes[i] = d_i in the product formula (tail after digit i)
-    return BasePExpansion(d, p, m, tuple(digits), tuple(suffixes[1:]))
+    places = [p ** (m - 1 - i) for i in range(m)]
+    suffixes = [d % place for place in places]  # d_i of the product formula
+    digits = [(hi - lo) // place for hi, lo, place in zip([d, *suffixes], suffixes, places)]
+    return BasePExpansion(d, p, m, tuple(digits), tuple(suffixes))
 
 
 def _factors(d: int, modulus: PrimePowerModulus):
-    """(binomial, exponent) pairs: the number of universal d-sets is the
-    product of binomial ** exponent, C(p, a_i + 1) ** d_i and
+    """(a, exponent) pairs: the number of universal d-sets is the product
+    of C(p, a) ** exponent, C(p, a_i + 1) ** d_i and
     C(p, a_i) ** (p^(M-1-i) - d_i) for each digit a_i of d."""
     exp = base_p_expansion(d, modulus)
     p, m = modulus.p, modulus.m
     for i, (alpha, d_i) in enumerate(zip(exp.digits, exp.suffixes)):
-        yield math.comb(p, alpha + 1), d_i
-        yield math.comb(p, alpha), p ** (m - 1 - i) - d_i
+        yield alpha + 1, d_i
+        yield alpha, p ** (m - 1 - i) - d_i
 
 
 def _log_count(d: int, modulus: PrimePowerModulus) -> float:
-    """log count_universal(d, modulus) in O(M), without forming the count:
-    the exponents of each distinct binomial are added exactly first."""
-    exponents: dict[int, int] = {}
-    for c, e in _factors(d, modulus):
-        exponents[c] = exponents.get(c, 0) + e
-    return math.fsum(e * math.log(c) for c, e in exponents.items() if e)
+    """log count_universal(d, modulus) in O(M), without forming the count
+    or a binomial: the exponents of each distinct C(p, a) = C(p, p - a)
+    are added exactly first, and its log comes from lgamma. Exponent-0
+    factors are skipped, as C(p, p + 1) = 0 at d = N."""
+    p, exponents = modulus.p, {}
+    for a, e in _factors(d, modulus):
+        if e:
+            exponents[min(a, p - a)] = exponents.get(min(a, p - a), 0) + e
+    lg = math.lgamma
+    return math.fsum(e * (lg(p + 1) - lg(a + 1) - lg(p - a + 1)) for a, e in exponents.items())
 
 
 MAX_COUNT_DIGITS = 10 ** 6  # longer counts take seconds to form and print
@@ -87,7 +82,7 @@ def count_universal(d: int, modulus: PrimePowerModulus) -> int:
     if digits > MAX_COUNT_DIGITS:
         raise ValueError(f"the count at d={d} has about {digits:.4g} decimal "
                          f"digits, more than the limit of {MAX_COUNT_DIGITS}")
-    return math.prod(c ** e for c, e in _factors(d, modulus))
+    return math.prod(math.comb(modulus.p, a) ** e for a, e in _factors(d, modulus))
 
 
 def count_by_brute_force(

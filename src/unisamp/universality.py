@@ -204,6 +204,19 @@ def _extract_piece(index_set: IndexSet, k: int, modulus: PrimePowerModulus) -> t
     return IndexSet._trusted(n, smallest), IndexSet._trusted(n, remaining)
 
 
+def _greedy(index_set: IndexSet, modulus: PrimePowerModulus, levels=None) -> UniversalDecomposition:
+    """Elementary pieces at the given levels in order (LookupError at one with an empty class),
+    or, without levels, each at the deepest full level of what remains until nothing does."""
+    if index_set.n != modulus.n:
+        raise ValueError(f"index set lives in Z_{index_set.n}, modulus is {modulus.n}")
+    pieces, remaining = [], index_set
+    while len(remaining) if levels is None else len(pieces) < len(levels):
+        k = _full_level(remaining.array, modulus.p) if levels is None else levels[len(pieces)]
+        piece, remaining = _extract_piece(remaining, k, modulus)
+        pieces.append((k, piece))
+    return UniversalDecomposition(tuple(pieces))
+
+
 def maximal_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> MaximalResult:
     """Greedy extraction of a largest universal subset.
 
@@ -213,17 +226,7 @@ def maximal_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> Maxima
     maximum-cardinality universal subset. No residue pyramid is built:
     the working set is a few arrays the size of the input's.
     """
-    if index_set.n != modulus.n:
-        raise ValueError(
-            f"index set lives in Z_{index_set.n}, modulus is {modulus.n}"
-        )
-    remaining = index_set
-    pieces: list[tuple[int, IndexSet]] = []
-    while len(remaining):
-        k = _full_level(remaining.array, modulus.p)
-        piece, remaining = _extract_piece(remaining, k, modulus)
-        pieces.append((k, piece))
-    decomposition = UniversalDecomposition(tuple(pieces))
+    decomposition = _greedy(index_set, modulus)
     example = decomposition.union(modulus.n)
     return MaximalResult(len(example), example, decomposition)
 
@@ -253,36 +256,25 @@ def universal_subset_of_size(
 ) -> IndexSet:
     """Universal subset of cardinality exactly d, when one exists.
 
-    The piece sizes are dictated by the base-p digits of d (a digit
-    alpha at place k yields alpha pieces at level k, taken in
-    nonincreasing level order); extraction then proceeds as in
-    maximal_universal but with the prescribed levels.
+    A digit alpha of d at place k (base p) gives alpha pieces at level
+    k, taken from the top level down as in maximal_universal. These
+    levels never fail when d <= Omega, so Omega is computed only to name
+    the cap of an infeasible d. Write t = alpha*p^k + r, alpha >= 1 the
+    top digit and r < p^k: Omega(R) >= t iff every class mod p^k has
+    alpha or more occupied children mod p^(k+1) and those with alpha + 1
+    or more hold a universal r-subset of Z_(p^k). A piece at level k
+    takes one element per class, and its shadow is exactly the child
+    holding it, so every class loses one occupied child, which keeps the
+    condition for t - p^k (for r when alpha = 1).
     """
     if not 1 <= d <= len(index_set):
         raise ValueError(f"target size {d} outside [1:{len(index_set)}]")
-    cap = maximal_universal(index_set, modulus).size
-    if d > cap:
-        raise InfeasibleSizeError(d, cap)
     p = modulus.p
-    levels: list[int] = []
-    rest, k = d, 0
-    while rest:
-        rest, digit = divmod(rest, p)
-        levels.extend([k] * digit)
-        k += 1
-    levels.reverse()
-    remaining = index_set
-    collected: list[np.ndarray] = []
-    for k in levels:
-        # a universal d-subset exists for every d <= Omega (the interval
-        # argument of _omega_rows); that these prescribed levels find one
-        # is tested, not proved, so a failure is surfaced, not shortened
-        try:
-            piece, remaining = _extract_piece(remaining, k, modulus)
-        except LookupError as exc:
-            raise InfeasibleSizeError(d, cap) from exc
-        collected.append(piece.array)
-    result = IndexSet._own(modulus.n, np.concatenate(collected))
+    levels = [k for k in reversed(range(d.bit_length())) for _ in range(d // p ** k % p)]
+    try:
+        result = _greedy(index_set, modulus, levels).union(modulus.n)
+    except LookupError as exc:
+        raise InfeasibleSizeError(d, maximal_universal(index_set, modulus).size) from exc
     assert len(result) == d
     return result
 

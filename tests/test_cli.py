@@ -261,6 +261,42 @@ def test_oracle_past_half_bounded_memory(n, top):
     assert proc.stdout == '{"universal": true}\n'
 
 
+def test_out_of_memory_exits_two():
+    """`check` at N = 10^9 + 7 asks for a 7.45 GiB residue pyramid; past
+    the child's 1 GB of address space that is one `error:` line and
+    exit 2, not a traceback."""
+    proc = _limited_child("-m", "unisamp.cli", "check", "-N", "1000000007", "-I", "0,1")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["-N", "2305843009213693951"], "2305843009213693951"),
+    (["-p", "2305843009213693951", "-M", "1"], "2305843009213693951"),
+    (["-N", "1000000014000000049"], "1000000014000000049"),
+])
+def test_count_at_large_prime_base(capsys, argv, want):
+    """Prime bases near 2^61 are factored and certified without trial
+    division: one element is universal, so the count at d = 1 is N."""
+    start = time.perf_counter()
+    assert run(capsys, "count", *argv, "-d", "1") == (0, want + "\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-p", "1000000007", "-M", "1", "-d", "500000000"],
+    ["count", "-N", str(2 ** 89 - 1), "-d", "1"],
+])
+def test_large_prime_base_refusals_exit_two(capsys, argv):
+    """A count of about 3 * 10^8 digits is refused from its log, without
+    forming a binomial; a prime past the certified bound is refused."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_oracle_single_row_at_2_24_bounded_rss():
     """The 1 x 2^24 row block is built in one complex buffer beside its
     int64 phase, so the child's peak RSS stays under 640 MB."""

@@ -172,13 +172,19 @@ class TestEntropyCurve:
             assert value == pytest.approx(want, rel=0, abs=1e-12), (p, m, d)
 
     def test_hostile_depth_is_instant(self):
-        """N = 2^40: the middle count is 2^(2^39), past any exact product."""
-        start = time.perf_counter()
-        rows = entropy_curve(2, 40, 3)
-        assert time.perf_counter() - start < 1.0
-        assert rows[1][0] == 0.5
-        assert rows[1][1] == pytest.approx(math.log(2) / 2, rel=0, abs=1e-12)
-        assert rows[0][1] == rows[2][1] == 0.0
+        """N = 2^40: the middle count is 2^(2^39), past any exact product.
+        N = p = 10^9 + 7: the middle count is C(p, (p - 1)/2), whose log
+        is p log 2 - log(pi (p + 1)/2)/2 to within 1/p (Stirling)."""
+        p = 1000000007
+        cases = [((2, 40), math.log(2) / 2),
+                 ((p, 1), math.log(2) - math.log(math.pi * (p + 1) / 2) / 2 / p)]
+        for (base, m), want in cases:
+            start = time.perf_counter()
+            rows = entropy_curve(base, m, 3)
+            assert time.perf_counter() - start < 1.0
+            assert rows[1][0] == 0.5
+            assert rows[1][1] == pytest.approx(want, rel=0, abs=1e-12)
+            assert rows[0][1] == rows[2][1] == 0.0
 
     @pytest.mark.parametrize("alpha", [1 / 3, 0.2])
     def test_stabilizes_in_depth(self, alpha):

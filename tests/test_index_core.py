@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from unisamp import (
     dispersion,
     residue_histogram,
 )
+from unisamp.base import is_prime
 import reference
 from conftest import all_subsets, dihedral_orbit_count
 
@@ -46,6 +49,44 @@ class TestPrimePowerModulus:
     def test_rejects_nonprime_base(self):
         with pytest.raises(ValueError):
             PrimePowerModulus(4, 2)
+
+    @pytest.mark.parametrize("n,p,m", [
+        (2 ** 61 - 1, 2 ** 61 - 1, 1),
+        ((10 ** 9 + 7) ** 2, 10 ** 9 + 7, 2),
+        (3 ** 40, 3, 40),
+        (2 ** 100, 2, 100),
+        (2 ** 2000, 2, 2000),
+    ])
+    def test_from_n_large(self, n, p, m):
+        """Large prime bases and exponents, past float range for 2^2000,
+        factor at once."""
+        start = time.perf_counter()
+        assert PrimePowerModulus.from_n(n) == PrimePowerModulus(p, m)
+        assert time.perf_counter() - start < 1.0
+
+    def test_from_n_rejects_power_of_composite(self):
+        with pytest.raises(ValueError, match="not a prime power"):
+            PrimePowerModulus.from_n(6 ** 5)
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == [
+            n for n in range(-3, 10 ** 5) if trial(n)]
+
+    @pytest.mark.parametrize("n", [
+        561, 1105, 1729, 2465, 2821, 6601, 8911,  # Carmichael numbers
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to the primes up to 23
+        318665857834031151167461,  # strong pseudoprime to the primes up to 37
+    ])
+    def test_is_prime_refuses_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    def test_prime_past_certified_bound_refused(self):
+        with pytest.raises(ValueError, match="proved only below"):
+            PrimePowerModulus.from_n(2 ** 89 - 1)
 
 
 class TestIndexSet:

@@ -366,7 +366,9 @@ class TestPrescribedSize:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_every_feasible_size_works(self, data):
-        modulus = data.draw(st.sampled_from([M8, M9, M16]))
+        moduli = [M8, M9, M16, PrimePowerModulus(5, 2), PrimePowerModulus(3, 3),
+                  PrimePowerModulus(7, 2)]
+        modulus = data.draw(st.sampled_from(moduli))
         n = modulus.n
         s = iset(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         cap = maximal_universal(s, modulus).size
@@ -375,6 +377,33 @@ class TestPrescribedSize:
             assert len(got) == d
             assert set(got).issubset(set(s))
             assert is_universal(got, modulus).is_universal
+        for d in range(cap + 1, len(s) + 1):
+            with pytest.raises(InfeasibleSizeError) as exc:
+                universal_subset_of_size(s, modulus, d)
+            assert exc.value.maximal == cap
+
+    @pytest.mark.parametrize("p,m,d", [(2, 5, 13), (2, 5, 5), (3, 2, 7), (5, 2, 19)])
+    def test_feasible_size_runs_only_its_pieces(self, p, m, d, monkeypatch):
+        """A feasible d takes one piece per unit of its base-p digit sum
+        and no Omega greedy."""
+        import unisamp.universality as universality
+
+        calls = []
+        extract = universality._extract_piece
+
+        def counted(*args):
+            calls.append(args[1])
+            return extract(*args)
+
+        monkeypatch.setattr(universality, "_extract_piece", counted)
+        modulus = PrimePowerModulus(p, m)
+        got = universal_subset_of_size(IndexSet.full(modulus.n), modulus, d)
+        assert len(got) == d
+        digit_sum, rest = 0, d
+        while rest:
+            rest, digit = divmod(rest, p)
+            digit_sum += digit
+        assert len(calls) == digit_sum
 
     @pytest.mark.parametrize("modulus", [M8, M9], ids=["8", "9"])
     def test_every_feasible_size_works_exhaustively(self, modulus):
