@@ -1,16 +1,18 @@
 """What the integer-only layer needs, with no numpy: the prime-power
 modulus, the exceptions of a failed mathematical check (the CLI's
-exit 1), and the decoding and integer checks of JSON input files.
-`index_core`, `universality` and `fourier` re-export the modulus and
-the exceptions.
+exit 1), the decoding and integer checks of JSON input, and the JSON
+writer. `index_core`, `universality` and `fourier` re-export the
+modulus and the exceptions.
 """
 
 from __future__ import annotations
 
 import io
+import json
+import math
 from dataclasses import dataclass
 
-
+JSON_CHUNK = 1 << 14  # array entries per piece of `json_chunks`
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_CERTIFIED = 3317044064679887385961981
 
@@ -39,9 +41,11 @@ def is_prime(n: int) -> bool:
 
 
 def _iroot(n: int, m: int) -> int:
-    """floor(n^(1/m)) for n >= 1, by integer Newton steps from above, so
-    that no float limits n."""
-    x = 1 << -(-n.bit_length() // m)
+    """floor(n^(1/m)) for n >= 1, by integer Newton steps from just above
+    a float estimate of the root's top 50 bits: a few steps converge, and
+    no float limits n."""
+    k = max(0, n.bit_length() // m - 50)  # root bits below the estimate
+    x = int(2 ** (math.log2(n >> k * m) / m) * (1 + 2 ** -40) + 1) << k
     while (y := ((m - 1) * x + n // x ** (m - 1)) // m) < x:
         x = y
     return x
@@ -51,6 +55,33 @@ def file_text(raw: bytes) -> str:
     """A file's bytes decoded as `open(path).read()` decodes them: the
     locale's encoding, strictly, with universal newlines."""
     return io.TextIOWrapper(io.BytesIO(raw)).read()
+
+
+def json_chunks(obj):
+    """The text of `json.dumps(obj)` in pieces, where obj is JSON data
+    with string keys in which numpy arrays stand for their `tolist()`. An
+    array is rendered JSON_CHUNK entries at a time, so no Python object
+    per entry outlives its chunk."""
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield ", " * (i > 0) + json.dumps(key) + ": "
+            yield from json_chunks(value)
+        yield "}"
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        for i, value in enumerate(obj):
+            yield ", " * (i > 0)
+            yield from json_chunks(value)
+        yield "]"
+    elif getattr(obj, "ndim", 0):  # a numpy array of one axis or more
+        yield "["
+        for start in range(0, len(obj), JSON_CHUNK):
+            text = json.dumps(obj[start:start + JSON_CHUNK].tolist())
+            yield ", " * (start > 0) + text[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(obj)
 
 
 def json_int(obj: dict, key: str) -> int:
@@ -83,14 +114,23 @@ class PrimePowerModulus:
     def from_n(cls, n: int) -> "PrimePowerModulus":
         """Factor n as p^M, or raise ValueError if n is not a prime power.
         M is the largest exponent with an exact root, so the root is no
-        perfect power, and n is a prime power iff the root is prime."""
+        perfect power, and n is a prime power iff the root is prime. An
+        exact root is taken only where the float r = 2^(log2(n)/m) is 2^40
+        or more or within r * 2^-40 of an integer (R * 2^-45 for n = R^m)."""
         if n < 2:
             raise ValueError(f"N must be >= 2, got {n}")
-        m = next(m for m in range(n.bit_length(), 0, -1) if _iroot(n, m) ** m == n)
-        if not is_prime(_iroot(n, m)):
+        log2n = math.log2(n)
+        m = next(m for m in range(n.bit_length(), 0, -1) if (
+            log2n / m >= 40 or abs((r := 2 ** (log2n / m)) - round(r)) <= r * 2 ** -40
+        ) and _iroot(n, m) ** m == n)
+        p = _iroot(n, m)
+        if p >= PRIME_CERTIFIED:  # where Miller-Rabin costs O(b) products, proving nothing
+            raise ValueError(f"N = {n} is a prime power only if {p} is prime, "
+                             f"which is proved only below {PRIME_CERTIFIED}")
+        if not is_prime(p):
             raise ValueError(f"N = {n} is not a prime power; "
                              "only the brute-force rank oracle applies")
-        return cls(_iroot(n, m), m)
+        return cls(p, m)
 
 
 class NotUniversalError(ValueError):

@@ -20,7 +20,7 @@ import sys
 # imports its library names when it runs.
 from .base import (
     InfeasibleSizeError, NotUniversalError, PrimePowerModulus, SingularSystemError,
-    file_text, json_int,
+    file_text, json_chunks, json_int,
 )
 from .counting import (
     bracelet_count, count_by_brute_force, count_universal, entropy_curve
@@ -80,8 +80,10 @@ def _load_json(path: str, loads=None):
         raise ValueError(f"malformed JSON in {path}: {exc}")
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj))
+def _emit(obj, file=None) -> None:
+    """Print obj as one JSON line, arrays written in pieces by `json_chunks`."""
+    (file or sys.stdout).writelines(json_chunks(obj))
+    print(file=file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,13 +216,8 @@ def _maximal(args) -> int:
     from .universality import maximal_universal
 
     result = maximal_universal(*_residue_input(args))
-    _emit(
-        {
-            "size": result.size,
-            "example": result.example.array.tolist(),
-            **result.decomposition.to_json(),
-        }
-    )
+    _emit({"size": result.size, "example": result.example.array,
+           **result.decomposition.to_json()})
     return 0
 
 
@@ -228,7 +225,7 @@ def _minimal(args) -> int:
     from .universality import minimal_universal
 
     result = minimal_universal(*_residue_input(args))
-    _emit({"size": result.size, "example": result.example.array.tolist()})
+    _emit({"size": result.size, "example": result.example.array})
     return 0
 
 
@@ -278,12 +275,7 @@ def _bracelets(args) -> int:
 
         iset = parse_index_set(args.canonical, args.n)
         cls = bracelet_canonical(iset)
-        _emit(
-            {
-                "canonical": cls.canonical.array.tolist(),
-                "orbit_size": cls.orbit_size,
-            }
-        )
+        _emit({"canonical": cls.canonical.array, "orbit_size": cls.orbit_size})
     return 0
 
 
@@ -381,7 +373,7 @@ def _sumset(args) -> int:
     x = parse_index_set(args.X, n)
     y = parse_index_set(args.Y, n)
     total = sumset(x, y)
-    out: dict = {"sumset": total.array.tolist()}
+    out: dict = {"sumset": total.array}
     code = 0
     if args.check:
         modulus = PrimePowerModulus.from_n(n)
@@ -399,7 +391,7 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except NotUniversalError as exc:
-        print(json.dumps(exc.verdict.to_json()), file=sys.stderr)
+        _emit(exc.verdict.to_json(), sys.stderr)
         return 1
     except (InfeasibleSizeError, SingularSystemError) as exc:
         print(str(exc), file=sys.stderr)

@@ -8,7 +8,6 @@ serves as the independent ground truth for the combinatorial criteria.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .base import SingularSystemError, json_int
+from .base import SingularSystemError, json_chunks, json_int
 from .index_core import IndexSet, bracelet_canonical, bracelet_representatives
 
 DEFAULT_TOLERANCE = 1e-10
@@ -61,7 +60,7 @@ class Signal:
         return Signal.of(np.fft.fft(self.values))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "values": self.values.view(np.float64).reshape(-1, 2).tolist()}
+        return {"n": self.n, "values": self.values.view(np.float64).reshape(-1, 2)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Signal":
@@ -73,7 +72,7 @@ class Signal:
         return cls(n, values)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json())
+        return "".join(json_chunks(self.to_json()))
 
 
 @dataclass(frozen=True)

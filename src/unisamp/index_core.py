@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .base import PrimePowerModulus, file_text, json_int
+from .base import PrimePowerModulus, file_text, json_chunks, json_int
 from .counting import bracelet_count  # noqa: F401
 
 
@@ -123,7 +123,7 @@ class IndexSet:
         return IndexSet._trusted(self.n, np.flatnonzero(outside))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "indices": self.array.tolist()}
+        return {"n": self.n, "indices": self.array}
 
     @classmethod
     def from_json(cls, obj: dict) -> "IndexSet":
@@ -135,7 +135,7 @@ class IndexSet:
         return cls._own(n, indices)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json())
+        return "".join(json_chunks(self.to_json()))
 
     @classmethod
     def loads(cls, raw: bytes) -> "IndexSet":
@@ -154,29 +154,29 @@ class IndexSet:
 _INDICES_OPEN = re.compile(rb'"indices"[ \t\n\r]*:[ \t\n\r]*\[')
 # digits and the comma map to themselves, every other byte to "x"
 _DIGITS_COMMA = bytes(c if c in b"0123456789," else ord("x") for c in range(256))
+# bytes of array text per parse, cut at the next comma; 256 KiB windows
+# read up to 1 MB more max RSS on a 3^12 `check` (malloc's mmap threshold)
+_WINDOW = 1 << 16
 
 
 def _plain_index_set(raw: bytes):
     """(n, int64 indices in file order) of a JSON object whose only
     "indices" holds canonical non-negative integers below min(n, 10^18),
-    n an integer; None for any other input. The array text reaches
-    `np.fromstring` only if, whitespace removed, it is digit runs joined
-    by commas, none empty (a blank item parses as 0); a leading zero, or
-    a run the parse stopped at (as at a space inside a number), then
-    shows as more digits than the values have. The rest, the array
-    emptied, must be an object with that empty "indices" at top level
-    and no backslash (an escape could spell another key)."""
+    n an integer; None for any other input. The rest, the array emptied,
+    must be an object with that empty "indices" at top level and no
+    backslash (an escape could spell another key). The array text is
+    read in windows cut at commas, each into its slice of one array. A
+    window reaches `np.fromstring` only if, whitespace removed, it is
+    digit runs joined by commas, none empty (a blank item parses as 0);
+    a leading zero, or a run the parse stopped at (as at a space inside
+    a number), then shows as more digits than the values have."""
     opened = _INDICES_OPEN.search(raw)
-    end = raw.find(b"]", opened.end()) if opened else -1
+    start = opened.end() if opened else 0
+    end = raw.find(b"]", start) if opened else -1
     if end < 0:
         return None
-    rest, text = raw[:opened.end()] + raw[end:], raw[opened.end():end]
-    body = text.translate(_DIGITS_COMMA, b" \t\n\r")
-    # ",," as one uint16 at even or odd offsets: 6x faster than `in`
-    pairs = (np.frombuffer(body, "<u2", (len(body) - s) // 2, s) for s in (0, 1))
-    if (not body or b"x" in body or body[:1] == b"," or body[-1:] == b","
-            or any(np.any(pair == 0x2C2C) for pair in pairs)
-            or b"\\" in rest or rest.count(b'"indices"') != 1):
+    rest = raw[:start] + raw[end:]
+    if b"\\" in rest or rest.count(b'"indices"') != 1:
         return None
     try:
         obj = json.loads(file_text(rest))
@@ -185,18 +185,32 @@ def _plain_index_set(raw: bytes):
     n = obj.get("n") if isinstance(obj, dict) else None
     if type(n) is not int or obj.get("indices") != []:
         return None
-    length = len(body)
-    del body  # the parse's peak is raw, text and the array
+    arr, filled = np.empty(raw.count(b",", start, end) + 1, dtype=np.int64), 0
     with warnings.catch_warnings():  # numpy 2.4 raises where older ones warn and stop
         warnings.simplefilter("ignore", DeprecationWarning)
-        try:
-            arr = np.fromstring(text, dtype=np.int64, sep=",")
-        except ValueError:
-            return None
-    top = int(arr.max(initial=0))
-    digits = length - len(arr) + 1 - sum(  # minus the values' digits past the first
-        np.count_nonzero(arr >= 10 ** k) for k in range(1, len(str(top))))
-    return (n, arr) if top < min(n, 10 ** 18) and digits == len(arr) else None
+        while True:
+            cut = raw.find(b",", start + _WINDOW, end)
+            window = raw[start:end if cut < 0 else cut]
+            body = window.translate(_DIGITS_COMMA, b" \t\n\r")
+            # ",," as one uint16 at even or odd offsets: 6x faster than `in`
+            pairs = (np.frombuffer(body, "<u2", (len(body) - s) // 2, s) for s in (0, 1))
+            if (not body or b"x" in body or body[:1] == b"," or body[-1:] == b","
+                    or any(np.any(pair == 0x2C2C) for pair in pairs)):
+                return None
+            try:
+                values = np.fromstring(window, dtype=np.int64, sep=",")
+            except ValueError:
+                return None
+            top = int(values.max(initial=0))
+            digits = len(body) - len(values) + 1 - sum(  # minus digits past the first
+                np.count_nonzero(values >= 10 ** k) for k in range(1, len(str(top))))
+            if top >= min(n, 10 ** 18) or digits != len(values):
+                return None
+            arr[filled:filled + len(values)] = values
+            filled += len(values)
+            if cut < 0:
+                return n, arr
+            start = cut + 1
 
 
 @lru_cache(maxsize=None)

@@ -311,25 +311,3 @@ def cauchy_davenport_check(
         size >= fallback,
     )
 
-
-# Two contrasting sumset fixtures: in the first, neither the direct nor
-# the fallback bound is tight for the partition-based bound family; the
-# second is widely quoted with a six-element sumset, but direct
-# computation over Z_16 gives four elements. Both values are recorded;
-# tests assert the computed one.
-KNESER_FIXTURES = (
-    {
-        "n": 8,
-        "x": (0, 1),
-        "y": (0, 4),
-        "computed_sumset": (0, 1, 4, 5),
-    },
-    {
-        "n": 16,
-        "x": (0, 2),
-        "y": (0, 2, 4),
-        "computed_sumset": (0, 2, 4, 6),
-        "quoted_sumset": (0, 2, 4, 6, 8, 10),
-        "discrepancy": True,
-    },
-)

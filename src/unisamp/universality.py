@@ -52,11 +52,7 @@ class UniversalDecomposition:
         return IndexSet._own(n, np.concatenate(arrays))
 
     def to_json(self) -> dict:
-        return {
-            "pieces": [
-                {"k": k, "indices": piece.array.tolist()} for k, piece in self.pieces
-            ]
-        }
+        return {"pieces": [{"k": k, "indices": piece.array} for k, piece in self.pieces]}
 
 
 @dataclass(frozen=True)
@@ -114,6 +110,10 @@ def is_universal_via_chi_star(index_set: IndexSet, modulus: PrimePowerModulus) -
     counts of q + 1 and p^k - r counts of q; a row summing to |I|
     matches it exactly when every count lies in [q, q + 1]. Levels above
     the stored ones follow from the top one, as for the balanced test.
+    So this, the dispersion criterion and `is_universal` are three
+    readings of one residue pyramid, and `check`'s "criteria_agree"
+    cannot be false; the rank oracle and `tests/reference.py` are the
+    independent checks.
     """
     hist = residue_histogram(index_set, modulus)
     q = len(index_set) // modulus.p ** np.arange(hist.top + 1)
@@ -128,7 +128,9 @@ def is_universal_via_dispersion(index_set: IndexSet, modulus: PrimePowerModulus)
     By dispersion(reverse(I))[k][reverse_k(a)] == chi_k(a; I), the
     level-k block counts of the reversed image are the level-k residue
     counts of I relabelled, so their spread is read off the residue
-    pyramid and the reversed set is never built.
+    pyramid and the reversed set is never built. That is the test of
+    `is_universal`, so the two cannot disagree (see
+    `is_universal_via_chi_star`).
     """
     return residue_histogram(index_set, modulus).spread_ok()
 

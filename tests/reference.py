@@ -1,7 +1,8 @@
 """Pure-Python reference for the residue criterion, the greedy
 constructions, the random-subset experiment, the dihedral canonical
 form, the oracle's column classes and the condition bound, a plain
-rank oracle, and the `json` parse of an index-set file.
+rank oracle, the `json` parse of an index-set file, and two sumset
+fixtures.
 
 These are the package's original algorithms over tuples, sets and
 Python-int bitmasks: a histogram built by looping over every element at
@@ -202,3 +203,26 @@ def parse_index_file(path, n):
     if iset.n != n:
         raise ValueError(f"file declares n={iset.n}, command line says N={n}")
     return iset
+
+
+# Two contrasting sumset fixtures: in the first, neither the direct nor
+# the fallback bound is tight for the partition-based bound family; the
+# second is widely quoted with a six-element sumset, but direct
+# computation over Z_16 gives four elements. Both values are recorded;
+# tests assert the computed one.
+KNESER_FIXTURES = (
+    {
+        "n": 8,
+        "x": (0, 1),
+        "y": (0, 4),
+        "computed_sumset": (0, 1, 4, 5),
+    },
+    {
+        "n": 16,
+        "x": (0, 2),
+        "y": (0, 2, 4),
+        "computed_sumset": (0, 2, 4, 6),
+        "quoted_sumset": (0, 2, 4, 6, 8, 10),
+        "discrepancy": True,
+    },
+)

@@ -33,7 +33,8 @@ from unisamp import (
     sumset,
     universal_subset_of_size,
 )
-from unisamp.uncertainty import KNESER_FIXTURES, support_profile, verify_uncertainty
+from unisamp.uncertainty import support_profile, verify_uncertainty
+from reference import KNESER_FIXTURES
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from unisamp import (
     dispersion,
     residue_histogram,
 )
-from unisamp.base import is_prime
+from unisamp.base import _iroot, is_prime
 import reference
 from conftest import all_subsets, dihedral_orbit_count
 
@@ -87,6 +87,32 @@ class TestPrimePowerModulus:
     def test_prime_past_certified_bound_refused(self):
         with pytest.raises(ValueError, match="proved only below"):
             PrimePowerModulus.from_n(2 ** 89 - 1)
+
+    @pytest.mark.parametrize("n", [2 ** 4000 + 1, 2 ** 4000 + 3, 3 ** 2524 + 2],
+                             ids=["2^4000+1", "2^4000+3", "3^2524+2"])
+    def test_large_non_power_refused_at_once(self, n):
+        """A 4,001-bit N with no exact root: the exponent scan takes no
+        Newton run per exponent, and no Miller-Rabin past the certified
+        bound (2^4000 + 1 took 0.4 s)."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            PrimePowerModulus.from_n(n)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("p,m", [(2, 4000), (3, 2500), (5, 1000), (2 ** 61 - 1, 50),
+                                     (10 ** 9 + 7, 3), (3, 1)])
+    def test_large_powers_factor_at_once(self, p, m):
+        start = time.perf_counter()
+        assert PrimePowerModulus.from_n(p ** m) == PrimePowerModulus(p, m)
+        assert time.perf_counter() - start < 0.05
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2 ** 64), st.integers(1, 200), st.integers(1, 2 ** 5000))
+    def test_iroot_is_the_floor_root(self, r, m, n):
+        """At exact powers, one either side of them, and any n."""
+        for x in (r ** m - 1, r ** m, r ** m + 1, n):
+            root = _iroot(max(x, 1), m)
+            assert root ** m <= max(x, 1) < (root + 1) ** m
 
 
 class TestIndexSet:

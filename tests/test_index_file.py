@@ -1,6 +1,7 @@
 """`-I @file`: the array reader against the `json` parse it replaces,
-the integer "n" of every JSON input, and the memory of the large
-index-set and interpolation paths."""
+the integer "n" of every JSON input, the chunked JSON writer against
+`json.dumps`, and the memory of the large index-set and interpolation
+paths."""
 
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from unisamp import index_core
+from unisamp.base import JSON_CHUNK, json_chunks
 from unisamp.cli import main, parse_index_set
-from unisamp.fourier import interpolate
+from unisamp.fourier import Signal, interpolate
 from unisamp.index_core import IndexSet, _plain_index_set
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -100,11 +104,14 @@ def test_edited_files_match_json_path(tmp_path_factory, case, edits):
     assert_same_as_json_path(path, n)
 
 
-@pytest.mark.parametrize("raw", [
+PLAIN_FILES = [
     IndexSet.of(1 << 12, range(0, 4096, 3)).dumps().encode(),
     b'{"indices": [5,\r\n\t3 , 0], "note": "x", "n": 8}\n',
     b'{"n": 8, "indices": [7], "x": {"k": [1, 2]}, "y": "index"}',
-], ids=["dumps", "crlf-key-order", "nested-extra"])
+]
+
+
+@pytest.mark.parametrize("raw", PLAIN_FILES, ids=["dumps", "crlf-key-order", "nested-extra"])
 def test_plain_files_take_the_array_reader(tmp_path, raw):
     assert _plain_index_set(raw) is not None
     path = tmp_path / "set.json"
@@ -180,6 +187,19 @@ def test_mutations_match_json_path(tmp_path, text):
     path = tmp_path / "set.json"
     path.write_bytes(text.encode())
     assert_same_as_json_path(path, 8)
+
+
+def test_property_tests_in_small_windows(tmp_path_factory):
+    """The property tests, the plain files and the mutations again, with
+    the array text read in windows of 5 bytes, so that most items open
+    or close a window."""
+    with mock.patch.object(index_core, "_WINDOW", 5):
+        test_generated_files_match_json_path(tmp_path_factory)
+        test_edited_files_match_json_path(tmp_path_factory)
+        for raw in PLAIN_FILES:
+            test_plain_files_take_the_array_reader(tmp_path_factory.mktemp("f"), raw)
+        for text in MUTATIONS:
+            test_mutations_match_json_path(tmp_path_factory.mktemp("f"), text)
 
 
 @pytest.mark.parametrize("raw", [
@@ -324,3 +344,69 @@ def test_interpolate_peak_at_4096_512():
     finally:
         tracemalloc.stop()
     assert peak < 1.8 * 16 * d * d
+
+
+def tolisted(obj):
+    """obj with every numpy array replaced by its `tolist()`."""
+    if isinstance(obj, dict):
+        return {k: tolisted(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [tolisted(v) for v in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+_SPECIAL = np.array([-0.0, 5e-324, 1e308, -1e308, -5e-324])
+
+
+@st.composite
+def json_arrays(draw):
+    """An int64 array or a float64 (n, 2) array of n rows, n at and next
+    to the writer's chunk, with the extreme floats at random places."""
+    n = draw(st.sampled_from([0, 1, JSON_CHUNK - 1, JSON_CHUNK, JSON_CHUNK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        return rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64) >> rng.integers(0, 63, n)
+    arr = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+    at = rng.choice(arr.size, min(arr.size, 5), replace=False)
+    arr.flat[at] = _SPECIAL[:len(at)]
+    return arr
+
+
+_JSON = st.recursive(
+    json_arrays() | st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_JSON)
+def test_writer_equals_json_dumps(obj):
+    assert "".join(json_chunks(obj)) == json.dumps(tolisted(obj))
+
+
+def test_writer_peak_is_a_chunk():
+    """Writing the 2^20 indices of a set holds one chunk's Python ints
+    and text at a time: under half the array's bytes traced (its list
+    and `json.dumps` text hold about 7 times them)."""
+    obj = IndexSet.full(1 << 20).to_json()
+    want = len(json.dumps(tolisted(obj)))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, json_chunks(obj)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == want
+    assert peak < obj["indices"].nbytes / 2
+
+
+def test_dumps_and_to_json():
+    """`to_json()` holds the arrays themselves; `dumps()` is the text of
+    their lists."""
+    iset = IndexSet.of(16, [9, 2, 5])
+    assert iset.to_json()["indices"] is iset.array
+    assert iset.dumps() == json.dumps({"n": 16, "indices": [2, 5, 9]})
+    signal = Signal.of([1 + 2j, 0.5 - 1j])
+    assert np.shares_memory(signal.to_json()["values"], signal.values)
+    assert signal.dumps() == json.dumps({"n": 2, "values": [[1.0, 2.0], [0.5, -1.0]]})

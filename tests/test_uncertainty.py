@@ -19,8 +19,9 @@ from unisamp import (
     support_profile,
     verify_uncertainty,
 )
-from unisamp.uncertainty import KNESER_FIXTURES, threshold_a
+from unisamp.uncertainty import threshold_a
 import reference
+from reference import KNESER_FIXTURES
 
 
 def iset(n, elems):
