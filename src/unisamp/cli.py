@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
+import stat
 import sys
 
 # Only the numpy-free modules load here; each handler that needs numpy
@@ -67,15 +69,16 @@ def parse_index_set(text: str, n: int) -> IndexSet:
 
 
 def _load_json(path: str, loads=None):
-    """A file read once as bytes (a pipe works) and parsed by `loads`,
-    by default `json.loads` of its text."""
+    """A file parsed by `loads`, by default `json.loads` of its text. A
+    regular file goes to `loads` open, to be read in windows; any other
+    (a pipe) is read once as bytes."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            regular = loads and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            raw = fh if regular else fh.read()
+            return loads(raw) if loads else json.loads(file_text(raw))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
-    try:
-        return loads(raw) if loads else json.loads(file_text(raw))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}")
 

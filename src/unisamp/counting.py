@@ -55,17 +55,19 @@ def _factors(d: int, modulus: PrimePowerModulus):
         yield alpha, p ** (m - 1 - i) - d_i
 
 
-def _log_count(d: int, modulus: PrimePowerModulus) -> float:
-    """log count_universal(d, modulus) in O(M), without forming the count
-    or a binomial: the exponents of each distinct C(p, a) = C(p, p - a)
-    are added exactly first, and its log comes from lgamma. Exponent-0
-    factors are skipped, as C(p, p + 1) = 0 at d = N."""
+def _log_count(d: int, modulus: PrimePowerModulus, scale: int = 1) -> float:
+    """log count_universal(d, modulus) / scale in O(M), without forming
+    the count or a binomial: the exponents of each distinct
+    C(p, a) = C(p, p - a) are added and divided by scale as integers,
+    and its log comes from lgamma. Factors of 1 are skipped: C(p, 0),
+    C(p, p) and exponent 0 (C(p, p + 1) = 0 at d = N)."""
     p, exponents = modulus.p, {}
     for a, e in _factors(d, modulus):
-        if e:
+        if e and 0 < a < p:
             exponents[min(a, p - a)] = exponents.get(min(a, p - a), 0) + e
     lg = math.lgamma
-    return math.fsum(e * (lg(p + 1) - lg(a + 1) - lg(p - a + 1)) for a, e in exponents.items())
+    return math.fsum(e / scale * (lg(p + 1) - lg(a + 1) - lg(p - a + 1))
+                     for a, e in exponents.items())
 
 
 MAX_COUNT_DIGITS = 10 ** 6  # longer counts take seconds to form and print
@@ -78,7 +80,10 @@ def count_universal(d: int, modulus: PrimePowerModulus) -> int:
     is p, and that place contributes C(p, p+1)^0 * C(p, p)^(p^(M-1)) = 1.
     A count of more than MAX_COUNT_DIGITS decimal digits is refused.
     """
-    digits = _log_count(d, modulus) / math.log(10)
+    try:
+        digits = _log_count(d, modulus) / math.log(10)
+    except OverflowError:  # a binomial other than 1 to a power past 2^1024
+        digits = math.inf
     if digits > MAX_COUNT_DIGITS:
         raise ValueError(f"the count at d={d} has about {digits:.4g} decimal "
                          f"digits, more than the limit of {MAX_COUNT_DIGITS}")
@@ -114,8 +119,9 @@ def entropy_curve(
     """Normalized log-counts log C(floor(alpha*N), N) / N at equally
     spaced alpha in [0, 1]. Both endpoints give exactly 0.
 
-    Each log-count is _log_count, so no count is formed. It differs
-    from log(count_universal) / N by a few ulps at most.
+    Each log-count is _log_count, its exponents divided by N, so no
+    count is formed. It differs from log(count_universal) / N by a few
+    ulps at most. Past float range, floor(alpha*N) is taken exactly.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -124,8 +130,8 @@ def entropy_curve(
     rows = []
     for i in range(resolution):
         alpha = i / (resolution - 1)
-        d = min(n, math.floor(alpha * n))
-        rows.append((alpha, _log_count(d, modulus) / n))
+        d = math.floor(alpha * n) if n < 2 ** 1000 else i * n // (resolution - 1)
+        rows.append((alpha, _log_count(min(n, d), modulus, n)))
     return rows
 
 

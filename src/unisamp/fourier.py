@@ -38,8 +38,10 @@ class Signal:
 
     __slots__ = ("n", "values")
 
-    def __init__(self, n: int, values) -> None:
-        arr = np.array(values, dtype=np.complex128)  # a new array, also from an array
+    def __init__(self, n: int, values, _own: bool = False) -> None:
+        # a new array, also from an array, unless `values` is a new
+        # complex128 array that nothing else holds
+        arr = np.array(values, dtype=np.complex128, copy=not _own)
         if not np.isfinite(arr).all():
             raise ValueError("values must be finite")
         if arr.shape != (n,):
@@ -237,7 +239,9 @@ def interpolate(
     c += np.linalg.solve(a, b - a @ c)  # one refinement pass
     spectrum = np.zeros(n, dtype=np.complex128)
     spectrum[support.array] = c
-    return Signal.of(n * np.fft.ifft(spectrum))
+    values = np.fft.ifft(spectrum)
+    values *= n  # in place: the same products as n * ifft, without a copy
+    return Signal(n, values, _own=True)
 
 
 def interpolating_basis(

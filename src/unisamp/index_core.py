@@ -11,6 +11,7 @@ sequences. `PrimePowerModulus` (from `base`) and `bracelet_count` (from
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -138,13 +139,14 @@ class IndexSet:
         return "".join(json_chunks(self.to_json()))
 
     @classmethod
-    def loads(cls, raw: bytes) -> "IndexSet":
-        """The inverse of `dumps`, from a file's bytes: a plain file goes
-        to an int64 array with no Python int per index, any other input
-        through `from_json(json.loads(text))`, with the same outcome."""
+    def loads(cls, raw) -> "IndexSet":
+        """The inverse of `dumps`, from a file's bytes or a regular file
+        open in binary mode: a plain file goes to an int64 array with no
+        Python int per index, any other through `from_json(json.loads)`."""
         plain = _plain_index_set(raw)
         if plain is None:
-            return cls.from_json(json.loads(file_text(raw)))
+            text = file_text(raw if isinstance(raw, bytes) else raw.read())
+            return cls.from_json(json.loads(text))
         n, arr = plain
         if np.count_nonzero(arr[1:] < arr[:-1]):  # a file from `dumps` is sorted
             arr.sort()
@@ -154,28 +156,43 @@ class IndexSet:
 _INDICES_OPEN = re.compile(rb'"indices"[ \t\n\r]*:[ \t\n\r]*\[')
 # digits and the comma map to themselves, every other byte to "x"
 _DIGITS_COMMA = bytes(c if c in b"0123456789," else ord("x") for c in range(256))
-# bytes of array text per parse, cut at the next comma; 256 KiB windows
-# read up to 1 MB more max RSS on a 3^12 `check` (malloc's mmap threshold)
+# bytes of array text per read; 256 KiB windows read up to 1 MB more max
+# RSS on a 3^12 `check` (malloc's mmap threshold)
 _WINDOW = 1 << 16
 
 
-def _plain_index_set(raw: bytes):
+def _plain_index_set(source):
     """(n, int64 indices in file order) of a JSON object whose only
     "indices" holds canonical non-negative integers below min(n, 10^18),
     n an integer; None for any other input. The rest, the array emptied,
     must be an object with that empty "indices" at top level and no
-    backslash (an escape could spell another key). The array text is
-    read in windows cut at commas, each into its slice of one array. A
-    window reaches `np.fromstring` only if, whitespace removed, it is
+    backslash (an escape could spell another key). `source`, the file's
+    bytes or a regular file open in binary mode, is read in windows: the
+    array text twice (its commas counted into one array's length, then
+    parsed into slices of it, cut at commas), the rest once.
+    A window reaches `np.fromstring` only if, whitespace removed, it is
     digit runs joined by commas, none empty (a blank item parses as 0);
     a leading zero, or a run the parse stopped at (as at a space inside
     a number), then shows as more digits than the values have."""
-    opened = _INDICES_OPEN.search(raw)
-    start = opened.end() if opened else 0
-    end = raw.find(b"]", start) if opened else -1
+    if isinstance(source, bytes):
+        size, read = len(source), lambda lo, hi: source[lo:hi]
+    else:
+        fd = source.fileno()
+        size, read = os.fstat(fd).st_size, lambda lo, hi: os.pread(fd, hi - lo, lo)
+    width = _WINDOW  # the head doubles until it holds the opening or the whole file
+    while not (opened := _INDICES_OPEN.search(head := read(0, width))) and width < size:
+        width *= 2
+    start, end, commas = opened.end() if opened else size, -1, 0
+    for lo in range(start, size, _WINDOW):
+        window = read(lo, lo + _WINDOW)
+        close = window.find(b"]")
+        commas += window.count(b",", 0, close if close >= 0 else None)
+        if close >= 0:
+            end = lo + close
+            break
     if end < 0:
         return None
-    rest = raw[:start] + raw[end:]
+    rest = head[:start] + read(end, size)
     if b"\\" in rest or rest.count(b'"indices"') != 1:
         return None
     try:
@@ -185,12 +202,16 @@ def _plain_index_set(raw: bytes):
     n = obj.get("n") if isinstance(obj, dict) else None
     if type(n) is not int or obj.get("indices") != []:
         return None
-    arr, filled = np.empty(raw.count(b",", start, end) + 1, dtype=np.int64), 0
+    arr, filled, carry = np.empty(commas + 1, dtype=np.int64), 0, b""
     with warnings.catch_warnings():  # numpy 2.4 raises where older ones warn and stop
         warnings.simplefilter("ignore", DeprecationWarning)
-        while True:
-            cut = raw.find(b",", start + _WINDOW, end)
-            window = raw[start:end if cut < 0 else cut]
+        for lo in range(start, max(end, start + 1), _WINDOW):
+            window = carry + read(lo, min(lo + _WINDOW, end))
+            cut = window.rfind(b",") if lo + _WINDOW < end else len(window)
+            if cut < 0:  # no comma yet: the item goes on in the next read
+                carry = window
+                continue
+            window, carry = window[:cut], window[cut + 1:]
             body = window.translate(_DIGITS_COMMA, b" \t\n\r")
             # ",," as one uint16 at even or odd offsets: 6x faster than `in`
             pairs = (np.frombuffer(body, "<u2", (len(body) - s) // 2, s) for s in (0, 1))
@@ -208,9 +229,7 @@ def _plain_index_set(raw: bytes):
                 return None
             arr[filled:filled + len(values)] = values
             filled += len(values)
-            if cut < 0:
-                return n, arr
-            start = cut + 1
+    return n, arr
 
 
 @lru_cache(maxsize=None)
@@ -224,6 +243,28 @@ def _layout(p: int, top: int) -> tuple[tuple[int, ...], np.ndarray, list]:
     return starts, np.array(starts[:-1]), folds
 
 
+_BLOCK = 1 << 12  # entries per block of a residue temporary: 32 KiB of int64
+
+
+def _blocks(arr: np.ndarray, modulus: int):
+    """(start, chunk, chunk % modulus) for the blocks of _BLOCK entries
+    of arr; the residues share one buffer, valid until the next block."""
+    buf = np.empty(min(len(arr), _BLOCK), dtype=np.int64)
+    for start in range(0, len(arr), _BLOCK):
+        chunk = arr[start:start + _BLOCK]
+        yield start, chunk, np.remainder(chunk, modulus, out=buf[:len(chunk)])
+
+
+def _sorted_residues(arr: np.ndarray, modulus: int) -> np.ndarray:
+    """A sorted array's residues mod `modulus`, ascending: the array
+    itself when the modulus exceeds its elements."""
+    if not len(arr) or modulus > arr[-1]:
+        return arr
+    residues = arr % modulus
+    residues.sort()
+    return residues
+
+
 class ResidueHistogram:
     """Per-level residue multiplicities of an index set.
 
@@ -231,12 +272,13 @@ class ResidueHistogram:
     0 <= k <= M. Level 0 is the single total; the weight of every node
     in the congruence tree equals the sum of its children's weights.
 
-    Levels 0..top are stored end to end in the int64 array `flat`;
-    `row(k)` is level k, and `lo[k]`, `hi[k]` are its extreme counts.
-    A residue histogram stops at top, the first level with p^top >= |I|
-    (at most M): from there up a level is balanced exactly when the
-    residues are distinct, so every higher level is balanced when level
-    top is.
+    Levels 0..top, top the last level with p^top <= |I| (at most M),
+    are stored end to end in the int64 array `flat`; `row(k)` is level
+    k. `lo[k]`, `hi[k]` are level k's extreme counts, for the stored
+    levels and, when top < M, for level top + 1. That level has more
+    classes than elements, so its lo is 0; its hi is the longest run of
+    its sorted residues (`runs`). It is balanced exactly when the
+    residues are distinct, and then every higher level is balanced too.
     `counts` counts the higher levels from `elements` on demand.
     """
 
@@ -247,11 +289,27 @@ class ResidueHistogram:
         self.modulus, self.flat, self.top, self.elements = modulus, flat, top, elements
         self.lo = np.minimum.reduceat(flat, offsets)
         self.hi = np.maximum.reduceat(flat, offsets)
+        if top < modulus.m:
+            r = _sorted_residues(elements, modulus.p ** (top + 1))
+            repeats = r is not elements and np.count_nonzero(r[1:] == r[:-1])
+            longest = int(self.runs(top + 1)[1].max()) if repeats else min(len(r), 1)
+            self.lo, self.hi = np.append(self.lo, 0), np.append(self.hi, longest)
         self._counts = None
 
     def row(self, k: int) -> np.ndarray:
         starts = _layout(self.modulus.p, self.top)[0]
         return self.flat[starts[k]:starts[k + 1]]
+
+    def runs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The classes mod p^k that hold elements, ascending, and their
+        counts: level k without its empty classes. Above the stored
+        levels, they are the runs of the sorted residues."""
+        if k <= self.top:
+            classes = np.flatnonzero(self.row(k))
+            return classes, self.row(k)[classes]
+        r = _sorted_residues(self.elements, self.modulus.p ** k)
+        first = np.flatnonzero(np.diff(r, prepend=-1))
+        return r[first], np.diff(first, append=len(r))
 
     @property
     def counts(self) -> tuple[tuple[int, ...], ...]:
@@ -275,10 +333,11 @@ class ResidueHistogram:
 def residue_histogram(index_set: IndexSet, modulus: PrimePowerModulus) -> ResidueHistogram:
     """Count elements of the set in each congruence class mod p^k, all k <= M.
 
-    One bincount at the top stored level; each level below folds away
-    the top digit of the residue (classes a + j p^(k-1) merge). The
-    result is kept on the index set, so the criteria, the witness and
-    the valuation of one set share one pyramid.
+    The residues mod p^top are counted in blocks at the top stored level;
+    each level below folds away the top digit of the residue (classes
+    a + j p^(k-1) merge). No allocation follows p or N. The result is
+    kept on the index set, so the criteria, the witness and the
+    valuation of one set share one pyramid.
     """
     if index_set.n != modulus.n:
         raise ValueError(
@@ -288,10 +347,12 @@ def residue_histogram(index_set: IndexSet, modulus: PrimePowerModulus) -> Residu
         return index_set._histogram
     p, arr = modulus.p, index_set.array
     top, pk = 0, 1
-    while pk < len(arr) and top < modulus.m:
+    while pk * p <= len(arr) and top < modulus.m:
         top, pk = top + 1, pk * p
     starts, _, folds = _layout(p, top)
-    flat = np.bincount(arr % pk + starts[top], minlength=starts[-1])
+    flat = np.zeros(starts[-1], dtype=np.int64)
+    for _, _, residues in _blocks(arr, pk):
+        np.add.at(flat[starts[top]:], residues, 1)
     for level, below in folds:
         np.add.reduce(flat[level].reshape(p, -1), 0, None, flat[below])
     index_set._histogram = ResidueHistogram(modulus, flat, top, arr)

@@ -19,6 +19,7 @@ from .base import InfeasibleSizeError, NotUniversalError
 from .index_core import (
     IndexSet,
     PrimePowerModulus,
+    _blocks,
     residue_histogram,
 )
 
@@ -96,9 +97,11 @@ def is_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> Universalit
     k = int(bad.argmax())
     if not bad[k]:
         return UniversalityVerdict(True)
-    row = hist.row(k)
+    classes, runs = hist.runs(k)  # classes 0..gap-1 hold elements; class gap, if any, none
+    gap = int(np.count_nonzero(classes == np.arange(len(classes))))
+    row = np.append(runs[:gap], 0)
     a = int((row <= hist.hi[k] - 2).argmax())
-    b = int((row >= row[a] + 2).argmax())
+    b = int(classes[(runs >= row[a] + 2).argmax()])
     return UniversalityVerdict(False, (k, a, b))
 
 
@@ -108,15 +111,15 @@ def is_universal_via_chi_star(index_set: IndexSet, modulus: PrimePowerModulus) -
 
     With q, r = divmod(|I|, p^k), the block's level-k multiset is r
     counts of q + 1 and p^k - r counts of q; a row summing to |I|
-    matches it exactly when every count lies in [q, q + 1]. Levels above
-    the stored ones follow from the top one, as for the balanced test.
-    So this, the dispersion criterion and `is_universal` are three
-    readings of one residue pyramid, and `check`'s "criteria_agree"
-    cannot be false; the rank oracle and `tests/reference.py` are the
-    independent checks.
+    matches it exactly when every count lies in [q, q + 1]. Past the
+    stored levels it is read at level top + 1 alone, where q = 0 (see
+    `ResidueHistogram`). So this, the dispersion criterion and
+    `is_universal` are three readings of one residue pyramid, and
+    `check`'s "criteria_agree" cannot be false; the rank oracle and
+    `tests/reference.py` are the independent checks.
     """
     hist = residue_histogram(index_set, modulus)
-    q = len(index_set) // modulus.p ** np.arange(hist.top + 1)
+    q = np.array([len(index_set) // modulus.p ** k for k in range(len(hist.hi))])
     return not np.count_nonzero((hist.lo < q) | (hist.hi > q + 1))
 
 
@@ -149,16 +152,16 @@ def schur_valuation(index_set: IndexSet, modulus: PrimePowerModulus) -> SchurVal
     if len(index_set) == 0:
         raise ValueError("valuation of an empty product is undefined here")
     hist = residue_histogram(index_set, modulus)
-    d, p, arr = len(index_set), modulus.p, index_set.array
+    d, p = len(index_set), modulus.p
     rows = map(hist.row, range(1, hist.top + 1))
     num = sum(int(np.dot(row, row)) - d for row in rows) // 2
-    # Above the stored levels, pairs are counted from sorted residues
-    # until the residues are distinct. Two distinct elements differ by
-    # less than p^M, so no pair is congruent mod p^M.
-    k, pairs = hist.top + 1, int(hist.hi[hist.top] > 1)
+    # Above the stored levels, pairs are counted from the runs of the
+    # sorted residues until the residues are distinct. Two distinct
+    # elements differ by less than p^M, so no pair is congruent mod p^M.
+    k, pairs = hist.top + 1, int(hist.hi[-1] > 1)
     while pairs and k < modulus.m:
-        r = np.sort(arr % p ** k)
-        pairs = int((np.arange(d) - np.searchsorted(r, r)).sum())
+        runs = hist.runs(k)[1]
+        pairs = int((runs * (runs - 1)).sum()) // 2
         num, k = num + pairs, k + 1
     den, pk = 0, p
     for _ in range(modulus.m):
@@ -177,7 +180,8 @@ def _full_level(arr: np.ndarray, p: int) -> int:
     while pk * p <= len(arr):  # so k <= M, as |I| <= N
         k, pk = k + 1, pk * p
     occupied = np.zeros(pk, dtype=bool)
-    occupied[arr % pk] = True
+    for _, _, residues in _blocks(arr, pk):
+        occupied[residues] = True
     while k and not occupied.all():
         occupied, k = occupied.reshape(p, -1).any(0), k - 1
     return k
@@ -188,22 +192,33 @@ def _extract_piece(index_set: IndexSet, k: int, modulus: PrimePowerModulus) -> t
 
     The piece takes the smallest element of each class mod p^k. Every
     remaining element congruent to a chosen one mod p^{k+1} is removed
-    along with it, which is what keeps later pieces separated.
+    along with it, which is what keeps later pieces separated. Shadow
+    membership is read from a table of the classes mod p^{k+1} while it
+    is no larger than the input, from the piece's sorted residues above.
     """
     n, arr = modulus.n, index_set.array
     pk = modulus.p ** k
     if pk > len(arr):
         raise LookupError(f"some class mod {pk} is empty")
     smallest = np.full(pk, n, dtype=np.int64)
-    np.minimum.at(smallest, arr % pk, arr)
+    for _, chunk, residues in _blocks(arr, pk):
+        np.minimum.at(smallest, residues, chunk)
     if smallest[smallest.argmax()] == n:
         raise LookupError(f"some class mod {pk} is empty")
     smallest.sort()
     pk1 = pk * modulus.p
-    shadow = np.zeros(pk1, dtype=bool)
-    shadow[smallest % pk1] = True
-    remaining = arr[~shadow[arr % pk1]]
-    return IndexSet._trusted(n, smallest), IndexSet._trusted(n, remaining)
+    shadow = smallest % pk1
+    if pk1 <= arr.nbytes:
+        table = np.zeros(pk1, dtype=bool)
+        table[shadow] = True
+    else:
+        shadow.sort()
+    keep = np.empty(len(arr), dtype=bool)
+    for start, _, r in _blocks(arr, pk1):
+        # a search past the last residue wraps to shadow[0] < r: no hit
+        hit = table[r] if pk1 <= arr.nbytes else shadow[np.searchsorted(shadow, r) % pk] == r
+        np.logical_not(hit, out=keep[start:start + len(r)])
+    return IndexSet._trusted(n, smallest), IndexSet._trusted(n, arr[keep])
 
 
 def _greedy(index_set: IndexSet, modulus: PrimePowerModulus, levels=None) -> UniversalDecomposition:

@@ -190,6 +190,28 @@ class TestCountingCommands:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("argv,want", [
+        (["-p", "2", "-M", "1030", "-d", "1"], 2 ** 1030),
+        (["-p", "3", "-M", "700", "-d", "2"], 3 ** 1399),  # N (N - N/3) / 2
+    ])
+    def test_count_with_exponents_past_float_range(self, capsys, argv, want):
+        """C(p, 0) to the power 2^1029 - 1 is 1, not a float overflow."""
+        assert run(capsys, "count", *argv) == (0, f"{want}\n", "")
+
+    def test_count_past_float_range_is_refused(self, capsys):
+        """C(2, 1)^(2^1099): its digit count is past float range, and the
+        count is refused like any other past the digit limit."""
+        code, out, err = run(capsys, "count", "-p", "2", "-M", "1100", "-d", str(2 ** 1099))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the count at d=")
+        assert err.endswith("decimal digits, more than the limit of 1000000\n")
+
+    def test_entropy_past_float_range(self, capsys):
+        """N = 2^1100: the rows of N = 8, exponents divided by N exactly."""
+        code, out, _ = run(capsys, "entropy", "-p", "2", "-M", "1100", "--resolution", "3")
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,0,1100,2", "0.5,0.34657359028,1100,2", "1,0,1100,2"]
+
     def test_count_brute_matches(self, capsys):
         _, direct, _ = run(capsys, "count", "-N", "9", "-d", "7")
         _, brute, _ = run(capsys, "count", "-N", "9", "-d", "7", "--brute")
@@ -262,13 +284,91 @@ def test_oracle_past_half_bounded_memory(n, top):
 
 
 def test_out_of_memory_exits_two():
-    """`check` at N = 10^9 + 7 asks for a 7.45 GiB residue pyramid; past
-    the child's 1 GB of address space that is one `error:` line and
-    exit 2, not a traceback."""
-    proc = _limited_child("-m", "unisamp.cli", "check", "-N", "1000000007", "-I", "0,1")
+    """2^28 indices are 2 GiB as int64; past the child's 1 GB of address
+    space that is one `error:` line and exit 2, not a traceback."""
+    proc = _limited_child("-m", "unisamp.cli", "check", "-N", "268435456",
+                          "-I", "0..268435455")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+P = 1000000007
+_LARGE_P_CALLS = [
+    (["check", "-N", str(P), "-I", "0,1"],
+     {"universal": True, "criteria_agree": True, "valuation_coprime": True}),
+    (["maximal", "-N", str(P), "-I", f"0,5,{P - 1}"],
+     {"size": 3, "example": [0, 5, P - 1], "pieces": [
+         {"k": 0, "indices": [0]}, {"k": 0, "indices": [5]}, {"k": 0, "indices": [P - 1]}]}),
+    (["construct", "-N", str(P), "-I", f"0,5,{P - 1}", "--size", "2"],
+     {"n": P, "indices": [0, 5]}),
+    (["sumset", "-N", str(P), "-X", "0,1", "-Y", "0,2", "--check"],
+     {"sumset": [0, 1, 2, 3], "check": {
+         "sumset_size": 4, "direct_applicable": True, "direct_bound": 3,
+         "direct_pass": True, "omega_bound": 3, "omega_pass": True}}),
+    (["check", "-N", str(P * P), "-I", f"0,1,{P}"],
+     {"universal": False, "witness": {"k": 1, "a": 2, "b": 0},
+      "criteria_agree": True, "valuation_coprime": False}),
+    (["maximal", "-N", str(P * P), "-I", f"0,1,{P}"],
+     {"size": 2, "example": [0, 1], "pieces": [
+         {"k": 0, "indices": [0]}, {"k": 0, "indices": [1]}]}),
+    (["construct", "-N", str(P * P), "-I", f"0,1,{P}", "--size", "2"],
+     {"n": P * P, "indices": [0, 1]}),
+    (["sumset", "-N", str(P * P), "-X", f"0,{P}", "-Y", "0,1", "--check"],
+     {"sumset": [0, 1, P, P + 1], "check": {
+         "sumset_size": 4, "direct_applicable": True, "direct_bound": 3,
+         "direct_pass": True, "omega_bound": 3, "omega_pass": True}}),
+]
+
+
+@pytest.mark.parametrize("argv,want", _LARGE_P_CALLS,
+                         ids=[" ".join(argv[:3]) for argv, _ in _LARGE_P_CALLS])
+def test_large_prime_base_residue_calls(argv, want):
+    """At p = 10^9 + 7 no allocation follows p: each call answers within
+    1 GB of address space in well under a second of its own work."""
+    start = time.perf_counter()
+    proc = _limited_child("-m", "unisamp.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == want
+    assert time.perf_counter() - start < 5
+
+
+# The traced peaks of the residue calls on 1,000 random indices at
+# N = (10^9 + 7)^2, inside the child.
+_LARGE_P_PEAK_SCRIPT = """
+import json, tracemalloc
+import numpy as np
+from unisamp import (IndexSet, PrimePowerModulus, is_universal, is_universal_via_chi_star,
+                     is_universal_via_dispersion, maximal_universal, schur_valuation,
+                     universal_subset_of_size)
+
+p = 1000000007
+modulus = PrimePowerModulus(p, 2)
+indices = np.random.default_rng(7).integers(0, p * p, 1000)
+calls = {
+    "check": lambda s: (is_universal(s, modulus), is_universal_via_chi_star(s, modulus),
+                        is_universal_via_dispersion(s, modulus), schur_valuation(s, modulus)),
+    "maximal": lambda s: maximal_universal(s, modulus),
+    "construct": lambda s: universal_subset_of_size(s, modulus, 500),
+}
+peaks = {}
+for name, call in calls.items():
+    s = IndexSet.of(p * p, np.unique(indices))
+    tracemalloc.start()
+    call(s)
+    peaks[name] = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+
+
+def test_large_prime_base_traced_peaks():
+    """1,000 indices at N = (10^9 + 7)^2: `check`'s four readings,
+    `maximal` and `construct` each trace under 1 MB."""
+    proc = _limited_child("-c", _LARGE_P_PEAK_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    peaks = json.loads(proc.stdout)
+    assert all(peak < 1 << 20 for peak in peaks.values()), peaks
 
 
 @pytest.mark.parametrize("argv,want", [

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from unisamp import (
     schur_valuation,
     universal_subset_of_size,
 )
+from unisamp import index_core
 from unisamp.universality import _full_level, _omega_rows
 from conftest import all_subsets, exact_pairwise_valuation
 import reference
@@ -261,6 +263,79 @@ class TestFullLevel:
             elems = {e for _, piece in reference.maximal(elems, p, m) for e in piece}
         got = _full_level(iset(n, elems).array, p)
         assert got == reference._largest_full_level(elems, p, m)
+
+
+def _plant_above_top(data, elems, p, m):
+    """A universal set with one element x moved to x' = x mod p^top and
+    = y mod p^(top+1), for another y = x mod p^top: levels up to top are
+    unchanged and level top + 1 (p^(top+1) > |I|) holds a count of 2.
+    None when no such pair exists."""
+    universal = sorted(e for _, piece in reference.maximal(elems, p, m) for e in piece)
+    top = 0
+    while p ** (top + 1) <= len(universal):
+        top += 1
+    pk, pk1 = p ** top, p ** (top + 1)
+    pairs = [(x, y) for x in universal for y in universal if x != y and (x - y) % pk == 0]
+    if not pairs or top + 1 >= m:
+        return None
+    x, y = data.draw(st.sampled_from(pairs))
+    free = [z for z in range(y % pk1, p ** m, pk1) if z not in universal]
+    return (set(universal) - {x}) | {data.draw(st.sampled_from(free))}
+
+
+class TestSparseLevel:
+    """Past the stored levels the verdict, its witness, the criteria, the
+    valuation and the greedy read sorted residues, not a table of p^k
+    classes; they equal the reference's dense histogram and set greedy,
+    also with a witness planted at level top + 1 and in blocks of 3."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, data):
+        p, m = data.draw(st.sampled_from([(2, 12), (3, 7), (5, 5), (11, 3), (101, 2)]))
+        n, modulus = p ** m, PrimePowerModulus(p, m)
+        elems = data.draw(st.sets(st.integers(0, n - 1), max_size=40))
+        planted = data.draw(st.booleans()) and _plant_above_top(data, elems, p, m)
+        elems = planted or elems
+        s = iset(n, elems)
+        levels = reference.histogram(sorted(elems), p, m)
+        universal, witness = reference.verdict(levels)
+        with mock.patch.object(index_core, "_BLOCK", data.draw(st.sampled_from([3, 1 << 16]))):
+            verdict = is_universal(s, modulus)
+            assert (verdict.is_universal, verdict.witness) == (universal, witness)
+            if planted:
+                assert witness[0] == residue_histogram(s, modulus).top + 1 < m
+            assert is_universal_via_chi_star(s, modulus) == universal
+            assert is_universal_via_dispersion(s, modulus) == universal
+            if elems:
+                assert schur_valuation(s, modulus).valuation_numerator == (
+                    reference.valuation(levels))
+            pieces = maximal_universal(s, modulus).decomposition.pieces
+            assert [(k, piece.elements) for k, piece in pieces] == reference.maximal(elems, p, m)
+            size = sum(len(piece) for _, piece in pieces)
+            if size:
+                d = data.draw(st.integers(1, size))
+                got = universal_subset_of_size(s, modulus, d).elements
+                assert got == reference.construct(elems, p, m, d)
+
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shadow_search_matches_reference(self, data):
+        """Every class mod p met, so pieces start at level 1, where the
+        shadow's p^2 classes outnumber 8 |I| bytes and are searched."""
+        p = data.draw(st.sampled_from([11, 101]))
+        n, modulus = p ** 3, PrimePowerModulus(p, 3)
+        lifts = data.draw(st.lists(st.integers(0, p * p - 1), min_size=p, max_size=p))
+        extra = data.draw(st.sets(st.integers(0, n - 1), max_size=4 if p == 11 else 40))
+        elems = {a + p * j for a, j in enumerate(lifts)} | extra
+        s = iset(n, elems)
+        pieces = maximal_universal(s, modulus).decomposition.pieces
+        assert pieces[0][0] == 1 and p * p > s.array.nbytes
+        assert [(k, piece.elements) for k, piece in pieces] == reference.maximal(elems, p, 3)
+        d = data.draw(st.integers(1, sum(len(piece) for _, piece in pieces)))
+        got = universal_subset_of_size(s, modulus, d).elements
+        assert got == reference.construct(elems, p, 3, d)
 
 
 def _half_set(p, m):
