@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
 
 JSON_CHUNK = 1 << 14  # array entries per piece of `json_chunks`
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -93,8 +92,40 @@ def json_int(obj: dict, key: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class PrimePowerModulus:
+class Record:
+    """An immutable record with no generated code: the fields are a subclass's
+    own annotations in order, with class attributes as defaults; `__post_init__`
+    runs if defined; `__dict__` holds exactly the fields, for eq, hash and repr."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = dict(self._defaults, **dict(zip(self._fields, args)), **kwargs)
+        if len(args) > len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        vars(self).update((name, values[name]) for name in self._fields)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class PrimePowerModulus(Record):
     """Ambient size N = p^M with p prime and M >= 1."""
 
     p: int

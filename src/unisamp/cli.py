@@ -89,7 +89,9 @@ def _emit(obj, file=None) -> None:
     print(file=file)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, or, given `only`, its parser alone among
+    the listed names: every usage, help and error text stays the same."""
     parser = argparse.ArgumentParser(
         prog="unisamp",
         description="Universal sampling sets on Z_N for prime-power N: "
@@ -102,11 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     modulus.add_argument("-M", type=int, help="exponent, with -p")
 
     def command(name, run, help, *parents):
-        s = subs.add_parser(name, help=help, parents=parents)
-        s.set_defaults(run=run)
-        return s
+        if only in (None, name):
+            s = subs.add_parser(name, help=help, parents=parents)
+            s.set_defaults(run=run)
+            return s
+        subs.add_parser(name, help=help, add_help=False)  # listed, declaring nothing
 
-    residue = {}
     for name, run, help in (
         ("check", _check, "universality verdict, all criteria"),
         ("maximal", _maximal, "largest universal subset"),
@@ -114,60 +117,62 @@ def build_parser() -> argparse.ArgumentParser:
         ("construct", _construct, "universal subset of a given size"),
         ("decompose", _decompose, "split into elementary pieces"),
     ):
-        residue[name] = s = command(name, run, help, modulus)
-        s.add_argument("-I", required=True, help="index set (list, a..b, or @file)")
-    residue["check"].add_argument("--expect", choices=["universal", "not-universal"])
-    residue["construct"].add_argument("--size", type=int, required=True)
+        if s := command(name, run, help, modulus):
+            s.add_argument("-I", required=True, help="index set (list, a..b, or @file)")
+            if name == "check":
+                s.add_argument("--expect", choices=["universal", "not-universal"])
+            elif name == "construct":
+                s.add_argument("--size", type=int, required=True)
 
-    s = command("count", _count, "number of universal sets of size d", modulus)
-    s.add_argument("-d", type=int, required=True)
-    s.add_argument("--brute", action="store_true", help="enumerate instead")
+    if s := command("count", _count, "number of universal sets of size d", modulus):
+        s.add_argument("-d", type=int, required=True)
+        s.add_argument("--brute", action="store_true", help="enumerate instead")
 
-    s = command("entropy", _entropy, "normalized log-count curve as CSV")
-    s.add_argument("-p", type=int, required=True)
-    s.add_argument("-M", type=int, required=True)
-    s.add_argument("--resolution", type=int, required=True)
+    if s := command("entropy", _entropy, "normalized log-count curve as CSV"):
+        s.add_argument("-p", type=int, required=True)
+        s.add_argument("-M", type=int, required=True)
+        s.add_argument("--resolution", type=int, required=True)
 
-    s = command("bracelets", _bracelets, "rotation/reflection classes")
-    s.add_argument("-n", type=int, required=True)
-    g = s.add_mutually_exclusive_group(required=True)
-    g.add_argument("--count", type=int, metavar="D", help="class count at size D")
-    g.add_argument("--canonical", metavar="I", help="canonical form of a set")
+    if s := command("bracelets", _bracelets, "rotation/reflection classes"):
+        s.add_argument("-n", type=int, required=True)
+        g = s.add_mutually_exclusive_group(required=True)
+        g.add_argument("--count", type=int, metavar="D", help="class count at size D")
+        g.add_argument("--canonical", metavar="I", help="canonical form of a set")
 
-    s = command("oracle", _oracle, "brute-force universality over submatrices")
-    s.add_argument("-N", type=int, required=True)
-    s.add_argument("-I", required=True)
-    s.add_argument("--tolerance", type=float, default=1e-10)
+    if s := command("oracle", _oracle, "brute-force universality over submatrices"):
+        s.add_argument("-N", type=int, required=True)
+        s.add_argument("-I", required=True)
+        s.add_argument("--tolerance", type=float, default=1e-10)
 
-    s = command("interpolate", _interpolate, "reconstruct a bandlimited signal")
-    s.add_argument("-N", type=int, required=True)
-    s.add_argument("--samples", required=True, help="JSON: n, indices, values")
-    s.add_argument("--support", required=True, help="JSON index set file")
+    if s := command("interpolate", _interpolate, "reconstruct a bandlimited signal"):
+        s.add_argument("-N", type=int, required=True)
+        s.add_argument("--samples", required=True, help="JSON: n, indices, values")
+        s.add_argument("--support", required=True, help="JSON index set file")
 
-    s = command("condition", _condition, "conditioning of block sampling")
-    s.add_argument("-N", type=int, required=True)
-    s.add_argument("-J", required=True, help="spectral support")
+    if s := command("condition", _condition, "conditioning of block sampling"):
+        s.add_argument("-N", type=int, required=True)
+        s.add_argument("-J", required=True, help="spectral support")
 
-    s = command("uncertainty", _uncertainty, "support-size inequality report", modulus)
-    s.add_argument("--signal", required=True, help="JSON signal file")
+    if s := command("uncertainty", _uncertainty, "support-size inequality report", modulus):
+        s.add_argument("--signal", required=True, help="JSON signal file")
 
-    s = command("rand-maximal", _rand_maximal, "random-subset experiment", modulus)
-    s.add_argument("-s", type=int, required=True, help="subset size drawn")
-    s.add_argument("-d", type=int, required=True, help="target universal size")
-    s.add_argument("--delta", type=float, required=True)
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
+    if s := command("rand-maximal", _rand_maximal, "random-subset experiment", modulus):
+        s.add_argument("-s", type=int, required=True, help="subset size drawn")
+        s.add_argument("-d", type=int, required=True, help="target universal size")
+        s.add_argument("--delta", type=float, required=True)
+        s.add_argument("--trials", type=int, required=True)
+        s.add_argument("--seed", type=int, required=True)
 
-    s = command("rand-signal", _rand_signal, "random sparse-signal experiment", modulus)
-    s.add_argument("-r", type=int, required=True, help="support size")
-    s.add_argument("--delta", type=float, required=True)
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
+    if s := command("rand-signal", _rand_signal, "random sparse-signal experiment", modulus):
+        s.add_argument("-r", type=int, required=True, help="support size")
+        s.add_argument("--delta", type=float, required=True)
+        s.add_argument("--trials", type=int, required=True)
+        s.add_argument("--seed", type=int, required=True)
 
-    s = command("sumset", _sumset, "pairwise sums mod N", modulus)
-    s.add_argument("-X", required=True)
-    s.add_argument("-Y", required=True)
-    s.add_argument("--check", action="store_true", help="evaluate lower bounds")
+    if s := command("sumset", _sumset, "pairwise sums mod N", modulus):
+        s.add_argument("-X", required=True)
+        s.add_argument("-Y", required=True)
+        s.add_argument("--check", action="store_true", help="evaluate lower bounds")
 
     return parser
 
@@ -389,7 +394,8 @@ def _sumset(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # the three failed constructions are ValueErrors, so they go first
     try:
         return args.run(args)

@@ -11,19 +11,17 @@ verdict on its first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .base import PrimePowerModulus
+from .base import PrimePowerModulus, Record
 
 
-@dataclass(frozen=True)
-class BasePExpansion:
+class BasePExpansion(Record):
     """Base-p digits of d, most significant first, padded to M places.
 
     suffixes[i] = sum of the place values strictly below digit i, so
-    suffixes[0] drops the leading digit's contribution and suffixes[M]
+    suffixes[0] drops the leading digit's contribution and suffixes[M-1]
     is 0.
     """
 
@@ -34,37 +32,55 @@ class BasePExpansion:
     suffixes: tuple[int, ...]
 
 
-def base_p_expansion(d: int, modulus: PrimePowerModulus) -> BasePExpansion:
+def _split(d: int, p: int, count: int) -> list:
+    """d's digits at base-p places 0..count-1, least significant first, the
+    last taking d // p^(count-1) whole. By halving: one division by
+    p^(count/2) costs far less than count/2 divisions by p."""
+    if count == 1 or not d:
+        return [d] + [0] * (count - 1)
+    high, low = divmod(d, p ** (count // 2))
+    return _split(low, p, count // 2) + _split(high, p, count - count // 2)
+
+
+def _places(d: int, modulus: PrimePowerModulus):
+    """(digit, suffix, place value) for each of the M base-p places of d,
+    least significant first: the suffix is d mod the place value, and the
+    leading digit is p at d = N. A place value is formed only under a
+    nonzero digit (None elsewhere), from the last one formed."""
     if not 0 <= d <= modulus.n:
         raise ValueError(f"cardinality {d} outside [0:{modulus.n}]")
-    p, m = modulus.p, modulus.m
-    places = [p ** (m - 1 - i) for i in range(m)]
-    suffixes = [d % place for place in places]  # d_i of the product formula
-    digits = [(hi - lo) // place for hi, lo, place in zip([d, *suffixes], suffixes, places)]
-    return BasePExpansion(d, p, m, tuple(digits), tuple(suffixes))
+    p, suffix, place, at = modulus.p, 0, 1, 0  # place = p^at
+    for j, digit in enumerate(_split(d, p, modulus.m)):
+        if digit:
+            place, at = place * p ** (j - at), j
+        yield digit, suffix, place if digit else None
+        suffix += digit * place
 
 
-def _factors(d: int, modulus: PrimePowerModulus):
-    """(a, exponent) pairs: the number of universal d-sets is the product
-    of C(p, a) ** exponent, C(p, a_i + 1) ** d_i and
-    C(p, a_i) ** (p^(M-1-i) - d_i) for each digit a_i of d."""
-    exp = base_p_expansion(d, modulus)
-    p, m = modulus.p, modulus.m
-    for i, (alpha, d_i) in enumerate(zip(exp.digits, exp.suffixes)):
-        yield alpha + 1, d_i
-        yield alpha, p ** (m - 1 - i) - d_i
+def base_p_expansion(d: int, modulus: PrimePowerModulus) -> BasePExpansion:
+    places = list(_places(d, modulus))[::-1]
+    return BasePExpansion(d, modulus.p, modulus.m, tuple(digit for digit, _, _ in places),
+                          tuple(suffix for _, suffix, _ in places))
 
 
-def _log_count(d: int, modulus: PrimePowerModulus, scale: int = 1) -> float:
-    """log count_universal(d, modulus) / scale in O(M), without forming
-    the count or a binomial: the exponents of each distinct
-    C(p, a) = C(p, p - a) are added and divided by scale as integers,
-    and its log comes from lgamma. Factors of 1 are skipped: C(p, 0),
-    C(p, p) and exponent 0 (C(p, p + 1) = 0 at d = N)."""
+def _exponents(d: int, modulus: PrimePowerModulus) -> dict:
+    """{a: e} such that the number of universal d-sets is the product of
+    C(p, a) ** e: per digit a_i of d over suffix d_i, C(p, a_i + 1) ** d_i
+    times C(p, a_i) ** (p^(M-1-i) - d_i). C(p, a) and C(p, p - a) share
+    the key min(a, p - a), and factors of 1 are left out: C(p, 0),
+    C(p, p), exponent 0 and C(p, p + 1) ** 0 at d = N."""
     p, exponents = modulus.p, {}
-    for a, e in _factors(d, modulus):
-        if e and 0 < a < p:
-            exponents[min(a, p - a)] = exponents.get(min(a, p - a), 0) + e
+    for alpha, d_i, place in _places(d, modulus):
+        for a, e in ((alpha + 1, d_i), (alpha, place and place - d_i)):
+            if e and 0 < a < p:
+                exponents[min(a, p - a)] = exponents.get(min(a, p - a), 0) + e
+    return exponents
+
+
+def _log_count(exponents: dict, p: int, scale: int = 1) -> float:
+    """log of the product of C(p, a) ** e over `exponents`, / scale,
+    without forming it or a binomial: each exponent is divided by scale
+    as an integer, and the log of C(p, a) comes from lgamma."""
     lg = math.lgamma
     return math.fsum(e / scale * (lg(p + 1) - lg(a + 1) - lg(p - a + 1))
                      for a, e in exponents.items())
@@ -80,14 +96,15 @@ def count_universal(d: int, modulus: PrimePowerModulus) -> int:
     is p, and that place contributes C(p, p+1)^0 * C(p, p)^(p^(M-1)) = 1.
     A count of more than MAX_COUNT_DIGITS decimal digits is refused.
     """
+    exponents = _exponents(d, modulus)
     try:
-        digits = _log_count(d, modulus) / math.log(10)
+        digits = _log_count(exponents, modulus.p) / math.log(10)
     except OverflowError:  # a binomial other than 1 to a power past 2^1024
         digits = math.inf
     if digits > MAX_COUNT_DIGITS:
         raise ValueError(f"the count at d={d} has about {digits:.4g} decimal "
                          f"digits, more than the limit of {MAX_COUNT_DIGITS}")
-    return math.prod(math.comb(modulus.p, a) ** e for a, e in _factors(d, modulus))
+    return math.prod(math.comb(modulus.p, a) ** e for a, e in exponents.items())
 
 
 def count_by_brute_force(
@@ -131,7 +148,7 @@ def entropy_curve(
     for i in range(resolution):
         alpha = i / (resolution - 1)
         d = math.floor(alpha * n) if n < 2 ** 1000 else i * n // (resolution - 1)
-        rows.append((alpha, _log_count(min(n, d), modulus, n)))
+        rows.append((alpha, _log_count(_exponents(min(n, d), modulus), p, n)))
     return rows
 
 

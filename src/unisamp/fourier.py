@@ -9,13 +9,12 @@ serves as the independent ground truth for the combinatorial criteria.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
-from .base import SingularSystemError, json_chunks, json_int
+from .base import Record, SingularSystemError, json_chunks, json_int
 from .index_core import IndexSet, bracelet_canonical, bracelet_representatives
 
 DEFAULT_TOLERANCE = 1e-10
@@ -77,8 +76,7 @@ class Signal:
         return "".join(json_chunks(self.to_json()))
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(Record):
     numerical_rank: int
     smallest_singular_value: float
     largest_singular_value: float
@@ -281,8 +279,7 @@ def find_sampling_set(basis_matrix, tolerance: float = DEFAULT_TOLERANCE) -> Ind
     return IndexSet.of(n, rows)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     condition_number: float
     lower_bound: float
 

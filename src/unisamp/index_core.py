@@ -14,13 +14,12 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .base import PrimePowerModulus, file_text, json_chunks, json_int
+from .base import PrimePowerModulus, Record, file_text, json_chunks, json_int
 from .counting import bracelet_count  # noqa: F401
 
 
@@ -400,8 +399,7 @@ def act(index_set: IndexSet, t: int, reflect: bool = False) -> IndexSet:
     return IndexSet.of(index_set.n, (arr - t) % index_set.n)
 
 
-@dataclass(frozen=True)
-class BraceletClass:
+class BraceletClass(Record):
     """Dihedral orbit of an index set, named by its least representative."""
 
     canonical: IndexSet

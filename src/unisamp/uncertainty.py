@@ -10,18 +10,17 @@ quantify that through Omega and Phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .index_core import IndexSet, PrimePowerModulus
+from .base import PrimePowerModulus, Record
+from .index_core import IndexSet
 from .fourier import Signal
 from .universality import _omega_rows, maximal_universal
 
 
-@dataclass(frozen=True)
-class SupportProfile:
+class SupportProfile(Record):
     signal: Signal
     support: IndexSet
     zero_set: IndexSet
@@ -43,8 +42,7 @@ def support_profile(signal: Signal, tolerance: Optional[float] = None) -> Suppor
     return SupportProfile(signal, support, support.complement(), tolerance)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     """The inequality lhs >= rhs."""
 
     name: str
@@ -56,8 +54,7 @@ class BoundCheck:
         return self.lhs >= self.rhs
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(Record):
     checks: tuple[BoundCheck, ...]
 
     @property
@@ -111,8 +108,7 @@ def verify_uncertainty(
     ))
 
 
-@dataclass(frozen=True)
-class RandomExperimentSummary:
+class RandomExperimentSummary(Record):
     trials: int
     successes: int
     theoretical_bound: float
@@ -262,8 +258,7 @@ def sumset(x: IndexSet, y: IndexSet) -> IndexSet:
     return IndexSet.of(n, sums)
 
 
-@dataclass(frozen=True)
-class CauchyDavenportReport:
+class CauchyDavenportReport(Record):
     sumset_size: int
     direct_applicable: bool
     direct_bound: Optional[int]

@@ -10,12 +10,11 @@ universal subsets, and decompositions into elementary pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .base import InfeasibleSizeError, NotUniversalError
+from .base import InfeasibleSizeError, NotUniversalError, Record
 from .index_core import (
     IndexSet,
     PrimePowerModulus,
@@ -24,8 +23,7 @@ from .index_core import (
 )
 
 
-@dataclass(frozen=True)
-class UniversalityVerdict:
+class UniversalityVerdict(Record):
     is_universal: bool
     # witness: level k and residues (a, b) mod p^k with count(b) - count(a) >= 2
     witness: Optional[tuple[int, int, int]] = None
@@ -38,8 +36,7 @@ class UniversalityVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class UniversalDecomposition:
+class UniversalDecomposition(Record):
     """Ordered elementary pieces (k_r, piece_r) with |piece_r| = p^{k_r}."""
 
     pieces: tuple[tuple[int, IndexSet], ...]
@@ -56,8 +53,7 @@ class UniversalDecomposition:
         return {"pieces": [{"k": k, "indices": piece.array} for k, piece in self.pieces]}
 
 
-@dataclass(frozen=True)
-class SchurValuation:
+class SchurValuation(Record):
     """p-adic valuations of the two products whose ratio decides the
     sufficient test: numerator over the set, denominator over the
     consecutive block of the same size."""
@@ -70,15 +66,13 @@ class SchurValuation:
         return self.valuation_numerator == self.valuation_denominator
 
 
-@dataclass(frozen=True)
-class MaximalResult:
+class MaximalResult(Record):
     size: int
     example: IndexSet
     decomposition: UniversalDecomposition
 
 
-@dataclass(frozen=True)
-class MinimalResult:
+class MinimalResult(Record):
     size: int
     example: IndexSet
 
@@ -200,11 +194,14 @@ def _extract_piece(index_set: IndexSet, k: int, modulus: PrimePowerModulus) -> t
     pk = modulus.p ** k
     if pk > len(arr):
         raise LookupError(f"some class mod {pk} is empty")
-    smallest = np.full(pk, n, dtype=np.int64)
-    for _, chunk, residues in _blocks(arr, pk):
-        np.minimum.at(smallest, residues, chunk)
-    if smallest[smallest.argmax()] == n:
+    # each class's least position in arr, then the element there: arr is
+    # sorted, so that is its smallest; position len(arr) marks an empty class
+    smallest = np.full(pk, len(arr), dtype=np.int64)
+    for start, chunk, residues in _blocks(arr, pk):
+        np.minimum.at(smallest, residues, np.arange(start, start + len(chunk)))
+    if smallest[smallest.argmax()] == len(arr):
         raise LookupError(f"some class mod {pk} is empty")
+    smallest = arr[smallest]
     smallest.sort()
     pk1 = pk * modulus.p
     shadow = smallest % pk1
@@ -222,13 +219,26 @@ def _extract_piece(index_set: IndexSet, k: int, modulus: PrimePowerModulus) -> t
 
 
 def _greedy(index_set: IndexSet, modulus: PrimePowerModulus, levels=None) -> UniversalDecomposition:
-    """Elementary pieces at the given levels in order (LookupError at one with an empty class),
-    or, without levels, each at the deepest full level of what remains until nothing does."""
+    """Elementary pieces at the given levels, in decreasing order (LookupError at one with an
+    empty class), or, without levels, each at the deepest full level of what remains until
+    nothing does. Once that level is 0 it stays 0, and a piece at level 0 is the smallest
+    element left, its shadow the rest of its class mod p: so the level-0 pieces are the
+    smallest elements of the remaining classes mod p, ascending, taken in one pass."""
     if index_set.n != modulus.n:
         raise ValueError(f"index set lives in Z_{index_set.n}, modulus is {modulus.n}")
     pieces, remaining = [], index_set
     while len(remaining) if levels is None else len(pieces) < len(levels):
         k = _full_level(remaining.array, modulus.p) if levels is None else levels[len(pieces)]
+        if k == 0:
+            smallest = remaining.array  # its classes mod p are distinct when p > its elements
+            if len(smallest) and modulus.p <= smallest[-1]:
+                first = np.unique(smallest % modulus.p, return_index=True)[1]
+                smallest = np.sort(smallest[first])
+            wanted = len(smallest) if levels is None else len(levels) - len(pieces)
+            if wanted > len(smallest):
+                raise LookupError("some class mod 1 is empty")
+            pieces += [(0, IndexSet._trusted(modulus.n, smallest[i:i + 1])) for i in range(wanted)]
+            break
         piece, remaining = _extract_piece(remaining, k, modulus)
         pieces.append((k, piece))
     return UniversalDecomposition(tuple(pieces))

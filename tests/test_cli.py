@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -331,6 +333,69 @@ def test_large_prime_base_residue_calls(argv, want):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == want
     assert time.perf_counter() - start < 5
+
+
+Q = 18446744073709551557  # the largest prime below 2^64
+_PAST_INT64_CALLS = [
+    (["maximal", "-N", str(Q), "-I", "0,1"],
+     {"size": 2, "example": [0, 1], "pieces": [
+         {"k": 0, "indices": [0]}, {"k": 0, "indices": [1]}]}),
+    (["construct", "-N", str(Q), "-I", "0,1", "--size", "1"], {"n": Q, "indices": [0]}),
+    (["decompose", "-N", str(Q), "-I", "0,1"],
+     {"pieces": [{"k": 0, "indices": [0]}, {"k": 0, "indices": [1]}]}),
+    (["maximal", "-N", str(2 ** 64), "-I", "0..5"],
+     {"size": 6, "example": [0, 1, 2, 3, 4, 5], "pieces": [
+         {"k": 2, "indices": [0, 1, 2, 3]}, {"k": 1, "indices": [4, 5]}]}),
+    (["construct", "-N", str(2 ** 64), "-I", "0..5", "--size", "3"],
+     {"n": 2 ** 64, "indices": [0, 1, 2]}),
+    (["decompose", "-N", str(2 ** 64), "-I", "0..3"],
+     {"pieces": [{"k": 2, "indices": [0, 1, 2, 3]}]}),
+]
+
+
+@pytest.mark.parametrize("argv,want", _PAST_INT64_CALLS,
+                         ids=[" ".join(argv[:3]) for argv, _ in _PAST_INT64_CALLS])
+def test_constructions_past_int64(capsys, argv, want):
+    """N past int64, as `check` answers there: no table or sentinel of
+    the constructions holds N or p^(k+1) in an int64."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == want
+
+
+@pytest.mark.parametrize("n", [Q, 2 ** 64])
+def test_minimal_past_int64_is_refused(n):
+    """The complement of two indices in Z_N, N past int64, cannot be
+    held: one `error:` line and exit 2, not a traceback."""
+    proc = _limited_child("-m", "unisamp.cli", "minimal", "-N", str(n), "-I", "0,1")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_count_at_deep_exponent_is_fast(capsys):
+    """M = 100,000 and d = 1: 2^100000, 30,103 digits. Only d's one
+    digit is expanded and no place value is formed: under a second."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "-p", "2", "-M", "100000", "-d", "1")
+    assert time.perf_counter() - start < 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert (code, out) == (0, f"{2 ** 100000}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_entropy_at_deep_exponent_is_fast(capsys):
+    """M = 100,000: d = N/4, N/2, 3N/4 have one or two nonzero digits,
+    found by halving splits, with two place values each."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "entropy", "-p", "2", "-M", "100000", "--resolution", "5")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert rows[0] == "0,0,100000,2" and rows[-1] == "1,0,100000,2"
+    assert [row.split(",")[1] for row in rows[1:-1]] == ["0.34657359028"] * 3
 
 
 # The traced peaks of the residue calls on 1,000 random indices at
@@ -807,7 +872,8 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 def test_every_command_runs_without_scipy(tmp_path):
     """numpy is the only runtime dependency: each call in the script
     succeeds with `import scipy` failing, and nothing outside the
-    standard library, numpy and unisamp loads."""
+    standard library, numpy and unisamp loads. No command loads
+    `dataclasses`, whose records compile generated code at import."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_ONLY_SCRIPT, str(tmp_path)],
@@ -825,6 +891,7 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert [
         m for m in report["loaded"] if m not in allowed and not m.startswith("_cython_")
     ] == []
+    assert "dataclasses" not in report["loaded"]
 
 
 # Runs in a fresh interpreter where `import numpy` fails, calls the
@@ -920,3 +987,41 @@ def test_public_names_resolve_lazily():
             assert obj is getattr(sys.modules[obj.__module__], name), name
     with pytest.raises(AttributeError):
         unisamp.no_such_name
+
+
+_COMMANDS = re.search(r"\{(.+)\}", build_parser().format_usage()).group(1).split(",")
+_PARSE_ERRORS = [["-h"], ["--help"], [], ["bogus"], ["-N", "8"]] + [
+    [name, *tail] for name in _COMMANDS for tail in (
+        ["--help"], ["-h"], [], ["--bogus"], ["-N", "x"], ["-N", "8", "-I", "0", "extra"],
+        ["-N", "8", "-I", "0", "-d", "1", "--size", "1", "extra"],
+    )
+]
+
+
+def _parse_outcome(parse, argv):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSE_ERRORS, ids=" ".join)
+def test_help_and_errors_match_the_full_parser(argv):
+    """`main` declares only the called subcommand's arguments, and every
+    help and error text equals the one of the parser of all 15."""
+    want = _parse_outcome(build_parser().parse_args, argv)
+    assert want[0] in (0, 2)
+    assert _parse_outcome(main, argv) == want
+
+
+def test_a_call_declares_only_its_own_subcommand():
+    """The other subcommands are listed, so the top level reads the same,
+    but declare no arguments and no handler."""
+    assert len(_COMMANDS) == 15
+    for name in _COMMANDS:
+        parser = build_parser(name)
+        assert parser.format_help() == build_parser().format_help()
+        for other in set(_COMMANDS) - {name}:
+            assert vars(parser.parse_args([other])) == {"command": other}

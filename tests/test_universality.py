@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -24,7 +25,7 @@ from unisamp import (
     universal_subset_of_size,
 )
 from unisamp import index_core
-from unisamp.universality import _full_level, _omega_rows
+from unisamp.universality import _extract_piece, _full_level, _omega_rows
 from conftest import all_subsets, exact_pairwise_valuation
 import reference
 
@@ -338,6 +339,60 @@ class TestSparseLevel:
         assert got == reference.construct(elems, p, 3, d)
 
 
+def _one_piece_per_pass(s, modulus, levels=None):
+    """The greedy extracting every piece, level 0 included, by its own
+    pass over what remains: (k, elements) per piece; LookupError at a
+    level with an empty class."""
+    pieces, remaining = [], s
+    while len(remaining) if levels is None else len(pieces) < len(levels):
+        k = _full_level(remaining.array, modulus.p) if levels is None else levels[len(pieces)]
+        piece, remaining = _extract_piece(remaining, k, modulus)
+        pieces.append((k, piece.elements))
+    return pieces
+
+
+class TestLevelZero:
+    """Once the deepest full level is 0 the pieces are the smallest
+    element of each class mod p, taken in one pass: the same pieces, in
+    the same order, as one pass per piece, with p below and above |I|."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_piece_per_pass(self, data):
+        p, m = data.draw(st.sampled_from([(2, 6), (3, 4), (7, 2), (101, 2), (1000000007, 1)]))
+        n, modulus = p ** m, PrimePowerModulus(p, m)
+        elems = data.draw(st.sets(st.integers(0, min(n, 10 ** 6) - 1), max_size=150))
+        if data.draw(st.booleans()):  # a few classes mod p, many elements each
+            elems = {e - e % p + e % p % 3 for e in elems}
+        s = iset(n, elems)
+        pieces = maximal_universal(s, modulus).decomposition.pieces
+        assert [(k, piece.elements) for k, piece in pieces] == _one_piece_per_pass(s, modulus)
+        if not elems:
+            return
+        d = data.draw(st.integers(1, len(s)))
+        levels = [k for k in reversed(range(d.bit_length())) for _ in range(d // p ** k % p)]
+        try:
+            want = sorted(e for _, piece in _one_piece_per_pass(s, modulus, levels) for e in piece)
+        except LookupError:
+            with pytest.raises(InfeasibleSizeError):
+                universal_subset_of_size(s, modulus, d)
+        else:
+            assert list(universal_subset_of_size(s, modulus, d).elements) == want
+
+    def test_large_prime_base_is_one_pass(self):
+        """16,000 random indices at p = 10^9 + 7 are 16,000 pieces at
+        level 0: one sort, not 16,000 passes (about 5 s that way)."""
+        p = 1000000007
+        modulus = PrimePowerModulus(p, 1)
+        s = iset(p, np.unique(np.random.default_rng(17).integers(0, p, 16000)))
+        start = time.perf_counter()
+        result = maximal_universal(s, modulus)
+        subset = universal_subset_of_size(s, modulus, len(s) // 2)
+        assert time.perf_counter() - start < 1
+        assert result.example == s and len(result.decomposition.pieces) == len(s)
+        assert subset.elements == tuple(s.array[:len(s) // 2].tolist())
+
+
 def _half_set(p, m):
     n = p ** m
     return iset(n, np.random.default_rng(n).choice(n, n // 2, replace=False))
@@ -459,8 +514,9 @@ class TestPrescribedSize:
 
     @pytest.mark.parametrize("p,m,d", [(2, 5, 13), (2, 5, 5), (3, 2, 7), (5, 2, 19)])
     def test_feasible_size_runs_only_its_pieces(self, p, m, d, monkeypatch):
-        """A feasible d takes one piece per unit of its base-p digit sum
-        and no Omega greedy."""
+        """A feasible d takes one extraction per unit of its base-p digit
+        sum above level 0, its level-0 pieces in one pass, and no Omega
+        greedy."""
         import unisamp.universality as universality
 
         calls = []
@@ -471,14 +527,15 @@ class TestPrescribedSize:
             return extract(*args)
 
         monkeypatch.setattr(universality, "_extract_piece", counted)
+        monkeypatch.setattr(universality, "maximal_universal", None)
         modulus = PrimePowerModulus(p, m)
         got = universal_subset_of_size(IndexSet.full(modulus.n), modulus, d)
         assert len(got) == d
-        digit_sum, rest = 0, d
+        digit_sum, rest = 0, d // p
         while rest:
             rest, digit = divmod(rest, p)
             digit_sum += digit
-        assert len(calls) == digit_sum
+        assert len(calls) == digit_sum and 0 not in calls
 
     @pytest.mark.parametrize("modulus", [M8, M9], ids=["8", "9"])
     def test_every_feasible_size_works_exhaustively(self, modulus):
