@@ -1,7 +1,7 @@
 """What the integer-only layer needs, with no numpy: the prime-power
-modulus, the exceptions of a failed mathematical check (the CLI's
-exit 1), the decoding and integer checks of JSON input, and the JSON
-writer. `index_core`, `universality` and `fourier` re-export the
+modulus, the enumeration budget, the exceptions of a failed check (the
+CLI's exit 1), the decoding and integer checks of JSON input, and the
+JSON writer. `index_core`, `universality` and `fourier` re-export the
 modulus and the exceptions.
 """
 
@@ -12,6 +12,7 @@ import json
 import math
 
 JSON_CHUNK = 1 << 14  # array entries per piece of `json_chunks`
+ENUMERATION_BUDGET = 1 << 24  # most C(N, d) that `count --brute` and the oracle enumerate
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_CERTIFIED = 3317044064679887385961981
 

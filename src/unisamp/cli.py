@@ -142,7 +142,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     if s := command("oracle", _oracle, "brute-force universality over submatrices"):
         s.add_argument("-N", type=int, required=True)
         s.add_argument("-I", required=True)
-        s.add_argument("--tolerance", type=float, default=1e-10)
 
     if s := command("interpolate", _interpolate, "reconstruct a bandlimited signal"):
         s.add_argument("-N", type=int, required=True)
@@ -291,7 +290,7 @@ def _oracle(args) -> int:
     from .fourier import brute_force_universal
 
     iset = parse_index_set(args.I, args.N)
-    _emit({"universal": brute_force_universal(iset, args.N, args.tolerance)})
+    _emit({"universal": brute_force_universal(iset, args.N)})
     return 0
 
 
@@ -327,11 +326,8 @@ def _interpolate(args) -> int:
 
 def _condition(args) -> int:
     from .fourier import condition_report
-    from .index_core import IndexSet
 
-    support = parse_index_set(args.J, args.N)
-    block = IndexSet.of(args.N, range(len(support)))
-    report = condition_report(block, support, args.N)
+    report = condition_report(parse_index_set(args.J, args.N), args.N)
     _emit(
         {
             "condition_number": report.condition_number,

@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
-from .base import PrimePowerModulus, Record
+from .base import ENUMERATION_BUDGET, PrimePowerModulus, Record
 
 
 class BasePExpansion(Record):
@@ -107,20 +107,19 @@ def count_universal(d: int, modulus: PrimePowerModulus) -> int:
     return math.prod(math.comb(modulus.p, a) ** e for a, e in exponents.items())
 
 
-def count_by_brute_force(
-    d: int, modulus: PrimePowerModulus, budget: int = 1 << 24
-) -> int:
-    """Count by enumerating every d-subset and testing each one."""
+def count_by_brute_force(d: int, modulus: PrimePowerModulus) -> int:
+    """Count by enumerating every d-subset and testing each one; more
+    than ENUMERATION_BUDGET subsets are refused."""
     from .index_core import IndexSet  # numpy, loaded on first use
     from .universality import is_universal
 
     if not 0 <= d <= modulus.n:
         raise ValueError(f"cardinality {d} outside [0:{modulus.n}]")
     total_subsets = math.comb(modulus.n, d)
-    if total_subsets > budget:
+    if total_subsets > ENUMERATION_BUDGET:
         raise ValueError(
             f"C({modulus.n},{d}) = {total_subsets} subsets exceeds the "
-            f"enumeration budget of {budget}"
+            f"enumeration budget of {ENUMERATION_BUDGET}"
         )
     n = modulus.n
     return sum(

@@ -14,10 +14,10 @@ from itertools import chain
 
 import numpy as np
 
-from .base import Record, SingularSystemError, json_chunks, json_int
+from .base import ENUMERATION_BUDGET, Record, SingularSystemError, json_chunks, json_int
 from .index_core import IndexSet, bracelet_canonical, bracelet_representatives
 
-DEFAULT_TOLERANCE = 1e-10
+TOLERANCE = 1e-10  # the relative singular-value threshold of every rank test
 
 
 def complex_values(pairs) -> np.ndarray:
@@ -112,29 +112,27 @@ def dft_submatrix(rows: IndexSet, cols: IndexSet, n: int) -> np.ndarray:
     return np.exp(block, out=block)
 
 
-def _rank_report(matrix: np.ndarray, tolerance: float) -> RankReport:
+def _rank_report(matrix: np.ndarray) -> RankReport:
     d = min(matrix.shape)
     sv = np.linalg.svd(matrix, compute_uv=False)
     smax = float(sv[0]) if d else 0.0
     smin = float(sv[-1]) if d else 0.0
-    threshold = tolerance * max(matrix.shape) * smax
+    threshold = TOLERANCE * max(matrix.shape) * smax
     rank = int(np.count_nonzero(sv > threshold))
-    return RankReport(rank, smin, smax, tolerance, d)
+    return RankReport(rank, smin, smax, TOLERANCE, d)
 
 
-def is_invertible(
-    rows: IndexSet, cols: IndexSet, n: int, tolerance: float = DEFAULT_TOLERANCE
-) -> RankReport:
+def is_invertible(rows: IndexSet, cols: IndexSet, n: int) -> RankReport:
     """Numerical invertibility of the (rows, cols) DFT submatrix.
 
     Full rank means the smallest singular value clears
-    tolerance * d * (largest singular value); an empty one is full rank.
+    TOLERANCE * d * (largest singular value); an empty one is full rank.
     """
     if len(rows) != len(cols):
         raise ValueError(
             f"need a square submatrix, got {len(rows)}x{len(cols)}"
         )
-    return _rank_report(dft_submatrix(rows, cols, n), tolerance)
+    return _rank_report(dft_submatrix(rows, cols, n))
 
 
 # Column sets per batched SVD; it bounds the oracle's memory.
@@ -148,7 +146,7 @@ _column_classes = lru_cache(maxsize=64)(bracelet_representatives)
 
 
 @lru_cache(maxsize=1 << 14)
-def _oracle_verdict(rows: IndexSet, tolerance: float) -> bool:
+def _oracle_verdict(rows: IndexSet) -> bool:
     """brute_force_universal for a canonical row set of size 1..N/2,
     whose |I| x N row block then has at most 2 C(N, |I|) entries."""
     n, d = rows.n, len(rows)
@@ -157,56 +155,43 @@ def _oracle_verdict(rows: IndexSet, tolerance: float) -> bool:
     for start in range(0, len(reps), _SVD_CHUNK):
         block = base[:, reps[start : start + _SVD_CHUNK]]
         sv = np.linalg.svd(np.moveaxis(block, 1, 0), compute_uv=False)
-        if np.any(sv[:, -1] <= tolerance * d * sv[:, 0]):
+        if np.any(sv[:, -1] <= TOLERANCE * d * sv[:, 0]):
             return False
     return True
 
 
-def brute_force_universal(
-    index_set: IndexSet,
-    n: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    budget: int = 1 << 24,
-) -> bool:
-    """True iff every square DFT submatrix with these rows is invertible.
+def brute_force_universal(index_set: IndexSet, n: int) -> bool:
+    """True iff every square DFT submatrix with these rows is invertible,
+    each minor decided by the singular-value rule of is_invertible.
 
     I is universal iff its complement is: F^-1 = conj(F)/N and F is
     symmetric, so by Jacobi's identity for minors of the inverse
     det F[I, J] = 0 exactly when det F[N-I, N-J] = 0. So the smaller of
-    I and N-I is tested (past N/2, `tolerance` applies to the minors of
+    I and N-I is tested (past N/2, the rule applies to the minors of
     N-I), with one column set of its size per rotation/reflection class
     (bracelet_representatives), and verdicts are cached per class of
     the tested rows (their bracelet_canonical form), since translating
     or negating the rows also preserves singular values. Refuses more
-    than `budget` column sets, C(n, |I|) = C(n, n - |I|) counted before
-    classes are formed, which bounds both time and memory, and any
-    tolerance outside (0, inf), where the singular-value test would
-    decide nothing.
+    than ENUMERATION_BUDGET column sets, C(n, |I|) = C(n, n - |I|)
+    counted before classes are formed, which bounds both time and memory.
     """
     if index_set.n != n:
         raise ValueError(f"index set lives in Z_{index_set.n}, not Z_{n}")
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     d = len(index_set)
     total = math.comb(n, d)
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise ValueError(
             f"C({n},{d}) = {total} column sets exceeds the enumeration "
-            f"budget of {budget}"
+            f"budget of {ENUMERATION_BUDGET}"
         )
     if 2 * d > n:
         index_set = index_set.complement()
     if len(index_set) <= 1:
-        # no minor, or 1 x 1 minors, whose sigma_min = sigma_max fails
-        # the test below exactly when tolerance >= 1
-        return not index_set or tolerance < 1
-    return _oracle_verdict(bracelet_canonical(index_set).canonical, tolerance)
+        return True  # no minor, or 1 x 1 minors, whose sigma_min = sigma_max
+    return _oracle_verdict(bracelet_canonical(index_set).canonical)
 
 
-def interpolate(
-    samples, sample_set: IndexSet, support: IndexSet, n: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> Signal:
+def interpolate(samples, sample_set: IndexSet, support: IndexSet, n: int) -> Signal:
     """Unique signal with spectrum confined to `support` matching the
     given samples on `sample_set`; samples[k] is the value at the k-th
     smallest element of `sample_set`.
@@ -229,7 +214,7 @@ def interpolate(
     if not np.isfinite(b).all():
         raise ValueError("values must be finite")
     entries = dft_submatrix(sample_set, support, n)
-    report = _rank_report(entries, tolerance)
+    report = _rank_report(entries)
     if not report.full_rank:
         raise SingularSystemError(report)
     a = np.conj(entries, out=entries)  # the gate is done with `entries`
@@ -242,28 +227,28 @@ def interpolate(
     return Signal(n, values, _own=True)
 
 
-def interpolating_basis(
-    basis_matrix, sample_set: IndexSet, tolerance: float = DEFAULT_TOLERANCE
-) -> np.ndarray:
+def interpolating_basis(basis_matrix, sample_set: IndexSet) -> np.ndarray:
     """Re-express a basis of a d-dimensional signal space so that column
-    j is 1 at the j-th sample index and 0 at the others: U = R (E_I^T R)^{-1}."""
+    j is 1 at the j-th sample index and 0 at the others: U = R (E_I^T R)^{-1},
+    gated by the singular-value rule of is_invertible."""
     r = np.asarray(basis_matrix, dtype=np.complex128)
     rows = sample_set.array
     square = r[rows, :]
-    report = _rank_report(square, tolerance)
+    report = _rank_report(square)
     if not report.full_rank:
         raise SingularSystemError(report)
     return r @ np.linalg.inv(square)
 
 
-def find_sampling_set(basis_matrix, tolerance: float = DEFAULT_TOLERANCE) -> IndexSet:
+def find_sampling_set(basis_matrix) -> IndexSet:
     """Pick d rows of an N x d rank-d matrix forming a well-conditioned
     square submatrix: the pivots of QR with column pivoting on the
     transpose, in O(N d^2). Each step takes the row of largest residual
-    norm, the first on ties, and projects it out of the others."""
+    norm, the first on ties, and projects it out of the others; the rank
+    falls short once that norm is TOLERANCE * d * the largest row norm or less."""
     r = np.array(basis_matrix, dtype=np.complex128)  # residuals, reduced in place
     n, d = r.shape
-    floor = tolerance * d * np.linalg.norm(r, axis=1).max(initial=0.0)
+    floor = TOLERANCE * d * np.linalg.norm(r, axis=1).max(initial=0.0)
     rows = []
     for _ in range(min(n, d)):
         norms = np.linalg.norm(r, axis=1)
@@ -284,21 +269,16 @@ class ConditionReport(Record):
     lower_bound: float
 
 
-def condition_report(sample_set: IndexSet, support: IndexSet, n: int) -> ConditionReport:
-    """Condition number of the sampling submatrix for a consecutive
-    sample block, with the product-of-sines lower bound
-    sqrt(d) * (prod over ordered pairs |2 sin(pi*(j1-j2)/N)|)^{-1/(2d)}."""
-    d = len(sample_set)
-    if not np.array_equal(sample_set.array, np.arange(d)):
-        raise ValueError("the bound requires sample set [0:d-1]")
-    if len(support) != d:
-        raise ValueError(
-            f"sample set size {d} must match support size {len(support)}"
-        )
+def condition_report(support: IndexSet, n: int) -> ConditionReport:
+    """Condition number of the sampling submatrix on the consecutive
+    sample block [0:d-1], d = |support|, with the product-of-sines lower
+    bound sqrt(d) * (prod over ordered pairs |2 sin(pi*(j1-j2)/N)|)^{-1/(2d)}."""
+    d = len(support)
     if d == 0:
         raise ValueError("the condition number needs a nonempty support")
-    sv = np.linalg.svd(dft_submatrix(sample_set, support, n), compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+    report = _rank_report(dft_submatrix(IndexSet._trusted(n, np.arange(d)), support, n))
+    smin, smax = report.smallest_singular_value, report.largest_singular_value
+    cond = smax / smin if smin > 0 else math.inf
     j = support.array
     diff = np.subtract.outer(j, j)[~np.eye(d, dtype=bool)]
     log_p = float(np.log(np.abs(2.0 * np.sin(np.pi * diff / n))).sum())

@@ -47,9 +47,9 @@ def _int_array(values) -> np.ndarray:
 class IndexSet:
     """A set of distinct residues in [0:N-1], held as `array`, a sorted
     read-only int64 array. `elements` is the same set as a tuple of
-    Python ints, built on first use."""
+    Python ints, built from the array on each use."""
 
-    __slots__ = ("n", "array", "_elements", "_histogram")
+    __slots__ = ("n", "array", "_histogram")
 
     def __init__(self, n: int, elements: Iterable[int]) -> None:
         """Elements must already be strictly increasing; `of` sorts."""
@@ -66,7 +66,7 @@ class IndexSet:
                 raise ValueError(f"element {outside[0]} outside [0:{n - 1}]")
             raise ValueError("elements must be strictly increasing")
         arr.setflags(write=False)
-        self.n, self.array, self._elements, self._histogram = n, arr, None, None
+        self.n, self.array, self._histogram = n, arr, None
         return self
 
     @classmethod
@@ -92,9 +92,7 @@ class IndexSet:
 
     @property
     def elements(self) -> tuple[int, ...]:
-        if self._elements is None:
-            self._elements = tuple(self.array.tolist())
-        return self._elements
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
         return len(self.array)
@@ -104,7 +102,7 @@ class IndexSet:
         return i < len(self.array) and self.array[i] == x
 
     def __iter__(self):
-        return iter(self.elements)
+        return iter(self.array.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndexSet):
@@ -118,6 +116,9 @@ class IndexSet:
         return f"IndexSet(n={self.n}, elements={self.elements})"
 
     def complement(self) -> "IndexSet":
+        if self.n > np.iinfo(np.intp).max:
+            raise ValueError(f"the complement in Z_{self.n} has {self.n - len(self)} "
+                             "elements, more than an array can hold")
         outside = np.ones(self.n, dtype=bool)
         outside[self.array] = False
         return IndexSet._trusted(self.n, np.flatnonzero(outside))

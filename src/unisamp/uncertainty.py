@@ -27,17 +27,15 @@ class SupportProfile(Record):
     tolerance: float
 
 
-def support_profile(signal: Signal, tolerance: Optional[float] = None) -> SupportProfile:
+def support_profile(signal: Signal) -> SupportProfile:
     """Split indices into support and zero set.
 
-    Default tolerance is 1e-9 times the largest magnitude, so structural
-    zeros of synthesized signals classify correctly despite roundoff.
+    The support holds the values above a tolerance of 1e-9 times the
+    largest magnitude, so structural zeros of synthesized signals
+    classify correctly despite roundoff.
     """
     mags = np.abs(signal.values)
-    if tolerance is None:
-        tolerance = 1e-9 * float(mags.max(initial=0.0))
-    if not tolerance >= 0:
-        raise ValueError("tolerance must be nonnegative")
+    tolerance = 1e-9 * float(mags.max(initial=0.0))
     support = IndexSet._trusted(signal.n, np.flatnonzero(mags > tolerance))
     return SupportProfile(signal, support, support.complement(), tolerance)
 
@@ -71,11 +69,7 @@ class UncertaintyReport(Record):
         }
 
 
-def verify_uncertainty(
-    signal: Signal,
-    modulus: PrimePowerModulus,
-    tolerance: Optional[float] = None,
-) -> UncertaintyReport:
+def verify_uncertainty(signal: Signal, modulus: PrimePowerModulus) -> UncertaintyReport:
     """Check the four support-size inequalities for a nonzero signal.
 
     With Z = zero set and supp = support, of the signal f and its
@@ -88,8 +82,8 @@ def verify_uncertainty(
     """
     if signal.n != modulus.n:
         raise ValueError(f"signal length {signal.n} does not match N={modulus.n}")
-    time = support_profile(signal, tolerance)
-    freq = support_profile(signal.spectrum(), tolerance)
+    time = support_profile(signal)
+    freq = support_profile(signal.spectrum())
     if len(time.support) == 0:
         raise ValueError("uncertainty bounds apply to nonzero signals only")
 
@@ -253,8 +247,8 @@ def sumset(x: IndexSet, y: IndexSet) -> IndexSet:
     """All pairwise sums mod N."""
     if x.n != y.n:
         raise ValueError(f"ambient sizes differ: {x.n} vs {y.n}")
-    n = x.n
-    sums = {(a + b) % n for a in x.elements for b in y.elements}
+    n, ys = x.n, y.array.tolist()
+    sums = {(a + b) % n for a in x.array.tolist() for b in ys}
     return IndexSet.of(n, sums)
 
 

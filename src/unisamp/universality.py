@@ -186,9 +186,10 @@ def _extract_piece(index_set: IndexSet, k: int, modulus: PrimePowerModulus) -> t
 
     The piece takes the smallest element of each class mod p^k. Every
     remaining element congruent to a chosen one mod p^{k+1} is removed
-    along with it, which is what keeps later pieces separated. Shadow
-    membership is read from a table of the classes mod p^{k+1} while it
-    is no larger than the input, from the piece's sorted residues above.
+    along with it, which is what keeps later pieces separated. An element
+    of residue r mod p^{k+1} lies in that shadow exactly when the piece's
+    element of its class r mod p^k has residue r, so membership is one
+    lookup in the piece's p^k residues, a table no larger than the input.
     """
     n, arr = modulus.n, index_set.array
     pk = modulus.p ** k
@@ -201,20 +202,13 @@ def _extract_piece(index_set: IndexSet, k: int, modulus: PrimePowerModulus) -> t
         np.minimum.at(smallest, residues, np.arange(start, start + len(chunk)))
     if smallest[smallest.argmax()] == len(arr):
         raise LookupError(f"some class mod {pk} is empty")
-    smallest = arr[smallest]
-    smallest.sort()
+    smallest = arr[smallest]  # in class order
     pk1 = pk * modulus.p
-    shadow = smallest % pk1
-    if pk1 <= arr.nbytes:
-        table = np.zeros(pk1, dtype=bool)
-        table[shadow] = True
-    else:
-        shadow.sort()
+    key = smallest % pk1
     keep = np.empty(len(arr), dtype=bool)
     for start, _, r in _blocks(arr, pk1):
-        # a search past the last residue wraps to shadow[0] < r: no hit
-        hit = table[r] if pk1 <= arr.nbytes else shadow[np.searchsorted(shadow, r) % pk] == r
-        np.logical_not(hit, out=keep[start:start + len(r)])
+        np.not_equal(key[r % pk], r, out=keep[start:start + len(r)])
+    smallest.sort()
     return IndexSet._trusted(n, smallest), IndexSet._trusted(n, arr[keep])
 
 

@@ -366,10 +366,12 @@ def test_constructions_past_int64(capsys, argv, want):
 @pytest.mark.parametrize("n", [Q, 2 ** 64])
 def test_minimal_past_int64_is_refused(n):
     """The complement of two indices in Z_N, N past int64, cannot be
-    held: one `error:` line and exit 2, not a traceback."""
+    held: one `error:` line naming N and the complement's size, and
+    exit 2, not a traceback."""
     proc = _limited_child("-m", "unisamp.cli", "minimal", "-N", str(n), "-I", "0,1")
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr == (f"error: the complement in Z_{n} has {n - 2} elements, "
+                           "more than an array can hold\n")
 
 
 def test_count_at_deep_exponent_is_fast(capsys):
@@ -534,13 +536,14 @@ class TestAnalysisCommands:
 
     @pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
     def test_oracle_degenerate_tolerance_usage_error(self, capsys, tolerance):
-        """{0, 1, 4, 5} is not universal (witness k=2, a=2, b=0); these
-        tolerances used to make the oracle answer true."""
-        code, out, err = run(
-            capsys, "oracle", "-N", "8", "-I", "0,1,4,5", "--tolerance", tolerance
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error: tolerance must be positive and finite")
+        """The oracle's singular-value rule is fixed, so `--tolerance` is an
+        unrecognized argument: these values, which once made the
+        non-universal {0, 1, 4, 5} pass, stay usage errors (exit 2)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "-N", "8", "-I", "0,1,4,5", "--tolerance", tolerance])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(f"error: unrecognized arguments: --tolerance {tolerance}\n")
 
     def test_interpolate_round_trip(self, capsys, tmp_path):
         import numpy as np

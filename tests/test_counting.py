@@ -128,7 +128,7 @@ class TestBruteForce:
 
     def test_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
-            count_by_brute_force(8, M16, budget=100)
+            count_by_brute_force(16, PrimePowerModulus(2, 5))  # C(32, 16) > 2^24
 
 
 class TestLogExact:

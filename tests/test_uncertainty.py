@@ -52,17 +52,12 @@ class TestSupportProfile:
         assert len(support_profile(sig.spectrum()).support) == 2
 
     def test_non_finite_signal_refused(self):
-        """A NaN would make the default tolerance NaN and leave both the
+        """A NaN would make the tolerance NaN and leave both the
         support and the zero set empty."""
         with pytest.raises(ValueError, match="values must be finite"):
             Signal.of([1, math.nan, 0, 0, 2, 0, 0, 0])
         with pytest.raises(ValueError, match="values must be finite"):
             Signal.of([1, 0, complex(0, math.inf), 0])
-
-    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
-    def test_bad_tolerance_refused(self, tolerance):
-        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-            support_profile(Signal.of([1, 0, 0, 0]), tolerance)
 
     def test_partition(self):
         rng = np.random.default_rng(1)

@@ -324,7 +324,8 @@ class TestSparseLevel:
     @settings(max_examples=100, deadline=None)
     def test_shadow_search_matches_reference(self, data):
         """Every class mod p met, so pieces start at level 1, where the
-        shadow's p^2 classes outnumber 8 |I| bytes and are searched."""
+        shadow's p^2 classes outnumber 8 |I| bytes: membership is read
+        from the piece's p residues, with no table of the p^2 classes."""
         p = data.draw(st.sampled_from([11, 101]))
         n, modulus = p ** 3, PrimePowerModulus(p, 3)
         lifts = data.draw(st.lists(st.integers(0, p * p - 1), min_size=p, max_size=p))
