@@ -121,13 +121,18 @@ class TestBruteForceUniversal:
             assert brute_force_universal(s, n) == is_universal(s, modulus).is_universal
 
     @pytest.mark.parametrize("n", [8, 9])
-    def test_one_element_against_its_minors(self, n):
+    @pytest.mark.parametrize("tolerance", [1e-10, 0.5, 0.999, 1.0, 2.0])
+    def test_one_element_against_its_minors(self, n, tolerance):
         """A set of one element, or missing one, is decided with no row
         block; the verdict still equals the rank test of every 1 x 1
-        minor of the one-element side, all of which pass."""
+        minor of the one-element side, all of which pass. A 1 x 1 minor
+        has one singular value, so it clears a threshold relative to its
+        largest singular value exactly when that threshold is below 1."""
         for a in range(n):
-            assert all(is_invertible(iset(n, [a]), iset(n, [b]), n).full_rank
-                       for b in range(n))
+            reports = [is_invertible(iset(n, [a]), iset(n, [b]), n) for b in range(n)]
+            assert all(r.full_rank for r in reports)
+            assert all((r.smallest_singular_value > tolerance * r.largest_singular_value)
+                       == (tolerance < 1) for r in reports)
             assert brute_force_universal(iset(n, [a]), n)
             rest = [e for e in range(n) if e != a]
             assert brute_force_universal(iset(n, rest), n)
