@@ -178,6 +178,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 def _require_n(args) -> int:
     if args.N is not None:
+        if args.p is not None or args.M is not None:
+            raise ValueError("specify -N, or -p with -M, not both")
         return args.N
     if args.p is not None:
         return args.p ** (args.M if args.M is not None else 1)
@@ -381,7 +383,7 @@ def _sumset(args) -> int:
     code = 0
     if args.check:
         modulus = PrimePowerModulus.from_n(n)
-        report = cauchy_davenport_check(x, y, modulus)
+        report = cauchy_davenport_check(x, y, total, modulus)
         out["check"] = report.to_json()
         if not report.omega_pass or report.direct_pass is False:
             code = 1

@@ -14,7 +14,6 @@ import json
 import os
 import re
 import warnings
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -77,8 +76,10 @@ class IndexSet:
     @classmethod
     def _own(cls, n: int, arr: np.ndarray) -> "IndexSet":
         """Wrap a new int64 array that nothing else holds: sorted in
-        place, then checked, never copied."""
-        arr.sort()
+        place unless it is sorted (as ranges and files from `dumps` are),
+        then checked, never copied."""
+        if np.count_nonzero(arr[1:] < arr[:-1]):
+            arr.sort()
         return cls.__new__(cls)._adopt(n, arr)
 
     @classmethod
@@ -147,10 +148,7 @@ class IndexSet:
         if plain is None:
             text = file_text(raw if isinstance(raw, bytes) else raw.read())
             return cls.from_json(json.loads(text))
-        n, arr = plain
-        if np.count_nonzero(arr[1:] < arr[:-1]):  # a file from `dumps` is sorted
-            arr.sort()
-        return cls.__new__(cls)._adopt(n, arr)
+        return cls._own(*plain)
 
 
 _INDICES_OPEN = re.compile(rb'"indices"[ \t\n\r]*:[ \t\n\r]*\[')
@@ -232,17 +230,6 @@ def _plain_index_set(source):
     return n, arr
 
 
-@lru_cache(maxsize=None)
-def _layout(p: int, top: int) -> tuple[tuple[int, ...], np.ndarray, list]:
-    """Where levels 0..top lie in a flat pyramid: each level's offset,
-    then the total length; the offsets as an array; and, from the top
-    down, the (level k, level k-1) slice pairs of each fold."""
-    starts = tuple((p ** k - 1) // (p - 1) for k in range(top + 2))
-    folds = [(slice(starts[k], starts[k + 1]), slice(starts[k - 1], starts[k]))
-             for k in range(top, 0, -1)]
-    return starts, np.array(starts[:-1]), folds
-
-
 _BLOCK = 1 << 12  # entries per block of a residue temporary: 32 KiB of int64
 
 
@@ -273,7 +260,7 @@ class ResidueHistogram:
     in the congruence tree equals the sum of its children's weights.
 
     Levels 0..top, top the last level with p^top <= |I| (at most M),
-    are stored end to end in the int64 array `flat`; `row(k)` is level
+    are stored as `rows`, one int64 array per level: `rows[k]` is level
     k. `lo[k]`, `hi[k]` are level k's extreme counts, for the stored
     levels and, when top < M, for level top + 1. That level has more
     classes than elements, so its lo is 0; its hi is the longest run of
@@ -282,31 +269,26 @@ class ResidueHistogram:
     `counts` counts the higher levels from `elements` on demand.
     """
 
-    __slots__ = ("modulus", "flat", "top", "lo", "hi", "elements", "_counts")
+    __slots__ = ("modulus", "rows", "top", "lo", "hi", "elements", "_counts")
 
-    def __init__(self, modulus, flat, top, elements=None) -> None:
-        offsets = _layout(modulus.p, top)[1]
-        self.modulus, self.flat, self.top, self.elements = modulus, flat, top, elements
-        self.lo = np.minimum.reduceat(flat, offsets)
-        self.hi = np.maximum.reduceat(flat, offsets)
-        if top < modulus.m:
-            r = _sorted_residues(elements, modulus.p ** (top + 1))
+    def __init__(self, modulus, rows, elements=None) -> None:
+        self.modulus, self.rows, self.top, self.elements = modulus, rows, len(rows) - 1, elements
+        lo, hi = [row.min() for row in rows], [row.max() for row in rows]
+        if self.top < modulus.m:
+            r = _sorted_residues(elements, modulus.p ** (self.top + 1))
             repeats = r is not elements and np.count_nonzero(r[1:] == r[:-1])
-            longest = int(self.runs(top + 1)[1].max()) if repeats else min(len(r), 1)
-            self.lo, self.hi = np.append(self.lo, 0), np.append(self.hi, longest)
+            lo.append(0)
+            hi.append(self.runs(self.top + 1)[1].max() if repeats else min(len(r), 1))
+        self.lo, self.hi = np.array(lo), np.array(hi)
         self._counts = None
-
-    def row(self, k: int) -> np.ndarray:
-        starts = _layout(self.modulus.p, self.top)[0]
-        return self.flat[starts[k]:starts[k + 1]]
 
     def runs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The classes mod p^k that hold elements, ascending, and their
         counts: level k without its empty classes. Above the stored
         levels, they are the runs of the sorted residues."""
         if k <= self.top:
-            classes = np.flatnonzero(self.row(k))
-            return classes, self.row(k)[classes]
+            classes = np.flatnonzero(self.rows[k])
+            return classes, self.rows[k][classes]
         r = _sorted_residues(self.elements, self.modulus.p ** k)
         first = np.flatnonzero(np.diff(r, prepend=-1))
         return r[first], np.diff(first, append=len(r))
@@ -314,7 +296,7 @@ class ResidueHistogram:
     @property
     def counts(self) -> tuple[tuple[int, ...], ...]:
         if self._counts is None:
-            p, rows = self.modulus.p, [self.row(k) for k in range(self.top + 1)]
+            p, rows = self.modulus.p, list(self.rows)
             for k in range(self.top + 1, self.modulus.m + 1):
                 rows.append(np.bincount(self.elements % p ** k, minlength=p ** k))
             self._counts = tuple(tuple(row.tolist()) for row in rows)
@@ -349,13 +331,12 @@ def residue_histogram(index_set: IndexSet, modulus: PrimePowerModulus) -> Residu
     top, pk = 0, 1
     while pk * p <= len(arr) and top < modulus.m:
         top, pk = top + 1, pk * p
-    starts, _, folds = _layout(p, top)
-    flat = np.zeros(starts[-1], dtype=np.int64)
+    rows = [np.zeros(pk, dtype=np.int64)]
     for _, _, residues in _blocks(arr, pk):
-        np.add.at(flat[starts[top]:], residues, 1)
-    for level, below in folds:
-        np.add.reduce(flat[level].reshape(p, -1), 0, None, flat[below])
-    index_set._histogram = ResidueHistogram(modulus, flat, top, arr)
+        np.add.at(rows[0], residues, 1)
+    for _ in range(top):
+        rows.insert(0, rows[0].reshape(p, -1).sum(0))
+    index_set._histogram = ResidueHistogram(modulus, rows, arr)
     return index_set._histogram
 
 
@@ -391,7 +372,7 @@ def dispersion(index_set: IndexSet, modulus: PrimePowerModulus) -> ResidueHistog
         )
     p, m, arr = modulus.p, modulus.m, index_set.array
     rows = [np.bincount(arr // p ** (m - k), minlength=p ** k) for k in range(m + 1)]
-    return ResidueHistogram(modulus, np.concatenate(rows), m)
+    return ResidueHistogram(modulus, rows)
 
 
 def act(index_set: IndexSet, t: int, reflect: bool = False) -> IndexSet:

@@ -261,20 +261,13 @@ class CauchyDavenportReport(Record):
     omega_pass: bool
 
     def to_json(self) -> dict:
-        return {
-            "sumset_size": self.sumset_size,
-            "direct_applicable": self.direct_applicable,
-            "direct_bound": self.direct_bound,
-            "direct_pass": self.direct_pass,
-            "omega_bound": self.omega_bound,
-            "omega_pass": self.omega_pass,
-        }
+        return dict(vars(self))
 
 
 def cauchy_davenport_check(
-    x: IndexSet, y: IndexSet, modulus: PrimePowerModulus
+    x: IndexSet, y: IndexSet, sums: IndexSet, modulus: PrimePowerModulus
 ) -> CauchyDavenportReport:
-    """Sumset lower bounds over Z_{p^M}.
+    """Sumset lower bounds over Z_{p^M}, for `sums` = sumset(x, y).
 
     When either summand is universal (Omega(S) = |S|) and |X|+|Y|-1 <= N,
     the direct bound |X+Y| >= |X|+|Y|-1 applies. The fallback bound
@@ -284,7 +277,7 @@ def cauchy_davenport_check(
     """
     if x.n != modulus.n or y.n != modulus.n:
         raise ValueError("both sets must live in the modulus's ambient group")
-    size = len(sumset(x, y))
+    size = len(sums)
     n = modulus.n
     direct = len(x) + len(y) - 1
     omega_x = maximal_universal(x, modulus).size

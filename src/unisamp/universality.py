@@ -147,8 +147,7 @@ def schur_valuation(index_set: IndexSet, modulus: PrimePowerModulus) -> SchurVal
         raise ValueError("valuation of an empty product is undefined here")
     hist = residue_histogram(index_set, modulus)
     d, p = len(index_set), modulus.p
-    rows = map(hist.row, range(1, hist.top + 1))
-    num = sum(int(np.dot(row, row)) - d for row in rows) // 2
+    num = sum(int(np.dot(row, row)) - d for row in hist.rows[1:]) // 2
     # Above the stored levels, pairs are counted from the runs of the
     # sorted residues until the residues are distinct. Two distinct
     # elements differ by less than p^M, so no pair is congruent mod p^M.

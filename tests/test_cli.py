@@ -656,6 +656,16 @@ class TestAnalysisCommands:
         assert obj["sumset"] == [0, 1, 4, 5]
         assert obj["check"]["direct_pass"] is True
 
+    def test_sumset_check_computes_the_sumset_once(self, capsys, monkeypatch):
+        """`--check` bounds the sumset it prints; it does not compute it again."""
+        import unisamp.uncertainty as uncertainty
+
+        calls, real = [], uncertainty.sumset
+        monkeypatch.setattr(uncertainty, "sumset", lambda x, y: calls.append(1) or real(x, y))
+        code, out, _ = run(capsys, "sumset", "-N", "9", "-X", "0,1", "-Y", "0,3", "--check")
+        assert code == 0 and json.loads(out)["check"]["sumset_size"] == 4
+        assert len(calls) == 1
+
     def test_rand_maximal_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rand-maximal", "-p", "3", "-M", "2", "-s", "9", "-d", "3",
@@ -702,6 +712,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "uncertainty", "-N", "8", "--signal", str(sig))
         assert code == 2 and out == ""
         assert "signal length 9 does not match N=8" in err
+
+    @pytest.mark.parametrize("extra", [["-p", "3"], ["-M", "2"], ["-p", "3", "-M", "2"]])
+    @pytest.mark.parametrize("argv", [["check", "-I", "0,1"], ["count", "-d", "1"]])
+    def test_n_with_p_or_m_is_usage_error(self, capsys, argv, extra):
+        """-N names the modulus alone: -p or -M beside it is refused, not
+        ignored."""
+        code, out, err = run(capsys, *argv, "-N", "8", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: specify -N, or -p with -M, not both\n"
+
+    @pytest.mark.parametrize("modulus", [["-N", "9"], ["-p", "3", "-M", "2"]])
+    def test_n_alone_or_p_with_m(self, capsys, modulus):
+        assert run(capsys, "count", *modulus, "-d", "1") == (0, "9\n", "")
+        code, out, _ = run(capsys, "check", *modulus, "-I", "0,1")
+        assert code == 0 and json.loads(out)["universal"] is True
 
 
 # The console script's body: `run` exits with the code itself.

@@ -2,6 +2,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,21 @@ class TestResidueHistogram:
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError, match="modulus"):
             residue_histogram(IndexSet.of(8, [0]), PrimePowerModulus(3, 2))
+
+    @pytest.mark.parametrize("p,m", [(2, 10), (3, 6), (5, 4), (11, 3), (101, 2)])
+    def test_stored_levels(self, p, m):
+        """`rows` holds levels 0..top, top the last level with p^top <= |I|
+        (at most M), each equal to the reference counts; so the stored
+        entries total fewer than p/(p-1) per element."""
+        modulus, rng = PrimePowerModulus(p, m), np.random.default_rng(p)
+        sizes = {1, p - 1, p, p * p - 1, p * p, modulus.n, *rng.integers(1, modulus.n, 20)}
+        for size in sorted(sizes - {0}):
+            elements = rng.choice(modulus.n, size, replace=False).tolist()
+            hist = residue_histogram(IndexSet.of(modulus.n, elements), modulus)
+            top = max(k for k in range(m + 1) if p ** k <= size)
+            assert hist.top == top == len(hist.rows) - 1
+            assert [row.tolist() for row in hist.rows] == reference.histogram(elements, p, top)
+            assert sum(map(len, hist.rows)) * (p - 1) < p * size
 
 
 class TestChiStar:

@@ -273,14 +273,16 @@ class TestSumset:
 class TestCauchyDavenport:
     def test_fixture_eight(self):
         m = PrimePowerModulus(2, 3)
-        rep = cauchy_davenport_check(iset(8, [0, 1]), iset(8, [0, 4]), m)
+        rep = cauchy_davenport_check(iset(8, [0, 1]), iset(8, [0, 4]),
+                                     sumset(iset(8, [0, 1]), iset(8, [0, 4])), m)
         assert rep.sumset_size == 4
         assert rep.direct_applicable and rep.direct_bound == 3
         assert rep.direct_pass and rep.omega_pass
 
     def test_singleton_equality(self):
         m = PrimePowerModulus(3, 2)
-        rep = cauchy_davenport_check(iset(9, [4]), iset(9, [0, 2, 7]), m)
+        rep = cauchy_davenport_check(iset(9, [4]), iset(9, [0, 2, 7]),
+                                     sumset(iset(9, [4]), iset(9, [0, 2, 7])), m)
         assert rep.sumset_size == 3 == rep.direct_bound
 
     def test_prime_always_applicable(self):
@@ -293,7 +295,7 @@ class TestCauchyDavenport:
             y = iset(7, rng.sample(range(7), rng.randint(1, 7 - len(x) + 1)))
             if len(x) + len(y) - 1 > 7:
                 continue
-            rep = cauchy_davenport_check(x, y, m)
+            rep = cauchy_davenport_check(x, y, sumset(x, y), m)
             assert rep.direct_applicable and rep.direct_pass
 
     def test_omega_bound_exhaustive_small(self):
@@ -305,7 +307,7 @@ class TestCauchyDavenport:
                 continue
             x = iset(8, xe)
             for ye in ([0], [0, 4], [1, 2, 3], [0, 1, 2, 3, 4, 5]):
-                rep = cauchy_davenport_check(x, iset(8, ye), m)
+                rep = cauchy_davenport_check(x, iset(8, ye), sumset(x, iset(8, ye)), m)
                 assert rep.omega_pass
 
     @pytest.mark.parametrize("p,m", [(2, 4), (3, 3)])
@@ -318,4 +320,4 @@ class TestCauchyDavenport:
             x, y = (iset(n, rng.permutation(n)[: rng.integers(1, n // 2)]) for _ in "xy")
             want = len(x) + len(y) - 1 <= n and (
                 is_universal(x, modulus).is_universal or is_universal(y, modulus).is_universal)
-            assert cauchy_davenport_check(x, y, modulus).direct_applicable == want
+            assert cauchy_davenport_check(x, y, sumset(x, y), modulus).direct_applicable == want
