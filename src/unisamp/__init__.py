@@ -21,8 +21,8 @@ _MODULE_OF = {
     for module, names in {
         "base": "InfeasibleSizeError NotUniversalError PrimePowerModulus "
         "SingularSystemError",
-        "index_core": "BraceletClass IndexSet ResidueHistogram act "
-        "bracelet_canonical chi_star digit_reverse dispersion residue_histogram",
+        "index_core": "BraceletClass IndexSet ResidueHistogram bracelet_canonical "
+        "chi_star dispersion residue_histogram",
         "universality": "MaximalResult MinimalResult SchurValuation "
         "UniversalDecomposition UniversalityVerdict decompose is_universal "
         "is_universal_via_chi_star is_universal_via_dispersion maximal_universal "
@@ -30,8 +30,7 @@ _MODULE_OF = {
         "counting": "BasePExpansion base_p_expansion bracelet_count "
         "count_by_brute_force count_universal entropy_curve",
         "fourier": "RankReport Signal brute_force_universal condition_report "
-        "dft_submatrix find_sampling_set interpolate interpolating_basis "
-        "is_invertible",
+        "dft_submatrix find_sampling_set interpolate is_invertible",
         "uncertainty": "RandomExperimentSummary SupportProfile "
         "cauchy_davenport_check random_maximal_experiment "
         "random_signal_uncertainty sumset support_profile verify_uncertainty",

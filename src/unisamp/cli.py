@@ -330,12 +330,7 @@ def _condition(args) -> int:
     from .fourier import condition_report
 
     report = condition_report(parse_index_set(args.J, args.N), args.N)
-    _emit(
-        {
-            "condition_number": report.condition_number,
-            "lower_bound": report.lower_bound,
-        }
-    )
+    _emit(vars(report))
     return 0
 
 

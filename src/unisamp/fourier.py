@@ -227,19 +227,6 @@ def interpolate(samples, sample_set: IndexSet, support: IndexSet, n: int) -> Sig
     return Signal(n, values, _own=True)
 
 
-def interpolating_basis(basis_matrix, sample_set: IndexSet) -> np.ndarray:
-    """Re-express a basis of a d-dimensional signal space so that column
-    j is 1 at the j-th sample index and 0 at the others: U = R (E_I^T R)^{-1},
-    gated by the singular-value rule of is_invertible."""
-    r = np.asarray(basis_matrix, dtype=np.complex128)
-    rows = sample_set.array
-    square = r[rows, :]
-    report = _rank_report(square)
-    if not report.full_rank:
-        raise SingularSystemError(report)
-    return r @ np.linalg.inv(square)
-
-
 def find_sampling_set(basis_matrix) -> IndexSet:
     """Pick d rows of an N x d rank-d matrix forming a well-conditioned
     square submatrix: the pivots of QR with column pivoting on the

@@ -1,9 +1,9 @@
 """Residue arithmetic on index sets in Z_N for N = p^M.
 
 Provides the domain types shared by the rest of the package (index sets,
-per-level residue histograms) together with digit reversal,
-block-dispersion counts, the dihedral group action, and its orbits'
-canonical forms and representatives, from least rotations of gap
+per-level residue histograms) together with the consecutive block's
+histogram, block-dispersion counts, and the canonical forms and
+representatives of dihedral orbits, from least rotations of gap
 sequences. `PrimePowerModulus` (from `base`) and `bracelet_count` (from
 `counting`) are defined in numpy-free modules and re-exported here.
 """
@@ -54,12 +54,17 @@ class IndexSet:
         """Elements must already be strictly increasing; `of` sorts."""
         self._adopt(n, _int_array(elements))
 
-    def _adopt(self, n: int, arr: np.ndarray, check: bool = True) -> "IndexSet":
-        if check and n < 1:
+    def _adopt(self, n: int, arr: np.ndarray, sort: bool = False) -> "IndexSet":
+        """Check `arr` and take it as the set. With `sort`, an array that
+        the one order scan finds not strictly increasing is first sorted
+        in place, then scanned for repeats."""
+        if n < 1:
             raise ValueError(f"ambient size must be >= 1, got {n}")
-        if check and len(arr) and (
-            arr[0] < 0 or arr[-1] >= n or np.count_nonzero(arr[1:] <= arr[:-1])
-        ):
+        unordered = len(arr) and np.count_nonzero(arr[1:] <= arr[:-1])
+        if unordered and sort:
+            arr.sort()
+            unordered = np.count_nonzero(arr[1:] == arr[:-1])
+        if len(arr) and (arr[0] < 0 or arr[-1] >= n or unordered):
             outside = arr[(arr < 0) | (arr >= n)]
             if len(outside):
                 raise ValueError(f"element {outside[0]} outside [0:{n - 1}]")
@@ -71,16 +76,17 @@ class IndexSet:
     @classmethod
     def _trusted(cls, n: int, arr: np.ndarray) -> "IndexSet":
         """Wrap an array known to be sorted, distinct and in range."""
-        return cls.__new__(cls)._adopt(n, arr, check=False)
+        self = cls.__new__(cls)
+        arr.setflags(write=False)
+        self.n, self.array, self._histogram = n, arr, None
+        return self
 
     @classmethod
     def _own(cls, n: int, arr: np.ndarray) -> "IndexSet":
         """Wrap a new int64 array that nothing else holds: sorted in
         place unless it is sorted (as ranges and files from `dumps` are),
         then checked, never copied."""
-        if np.count_nonzero(arr[1:] < arr[:-1]):
-            arr.sort()
-        return cls.__new__(cls)._adopt(n, arr)
+        return cls.__new__(cls)._adopt(n, arr, sort=True)
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "IndexSet":
@@ -255,21 +261,23 @@ def _sorted_residues(arr: np.ndarray, modulus: int) -> np.ndarray:
 class ResidueHistogram:
     """Per-level residue multiplicities of an index set.
 
-    counts[k][a] is the number of elements congruent to a mod p^k, for
-    0 <= k <= M. Level 0 is the single total; the weight of every node
-    in the congruence tree equals the sum of its children's weights.
+    Level k counts the elements congruent to a mod p^k, for each class a
+    and 0 <= k <= M. Level 0 is the single total; the weight of every
+    node in the congruence tree equals the sum of its children's weights.
 
     Levels 0..top, top the last level with p^top <= |I| (at most M),
     are stored as `rows`, one int64 array per level: `rows[k]` is level
-    k. `lo[k]`, `hi[k]` are level k's extreme counts, for the stored
-    levels and, when top < M, for level top + 1. That level has more
-    classes than elements, so its lo is 0; its hi is the longest run of
-    its sorted residues (`runs`). It is balanced exactly when the
-    residues are distinct, and then every higher level is balanced too.
-    `counts` counts the higher levels from `elements` on demand.
+    k. `runs(k)` reads any level by its occupied classes, from `rows` or,
+    above top, from the sorted residues of `elements`, so no reader
+    allocates a level past top. `lo[k]`, `hi[k]` are level k's extreme
+    counts, for the stored levels and, when top < M, for level top + 1.
+    That level has more classes than elements, so its lo is 0; its hi is
+    the longest run of its sorted residues. It is balanced exactly when
+    the residues are distinct, and then every higher level is balanced
+    too.
     """
 
-    __slots__ = ("modulus", "rows", "top", "lo", "hi", "elements", "_counts")
+    __slots__ = ("modulus", "rows", "top", "lo", "hi", "elements")
 
     def __init__(self, modulus, rows, elements=None) -> None:
         self.modulus, self.rows, self.top, self.elements = modulus, rows, len(rows) - 1, elements
@@ -280,7 +288,6 @@ class ResidueHistogram:
             lo.append(0)
             hi.append(self.runs(self.top + 1)[1].max() if repeats else min(len(r), 1))
         self.lo, self.hi = np.array(lo), np.array(hi)
-        self._counts = None
 
     def runs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The classes mod p^k that hold elements, ascending, and their
@@ -292,20 +299,6 @@ class ResidueHistogram:
         r = _sorted_residues(self.elements, self.modulus.p ** k)
         first = np.flatnonzero(np.diff(r, prepend=-1))
         return r[first], np.diff(first, append=len(r))
-
-    @property
-    def counts(self) -> tuple[tuple[int, ...], ...]:
-        if self._counts is None:
-            p, rows = self.modulus.p, list(self.rows)
-            for k in range(self.top + 1, self.modulus.m + 1):
-                rows.append(np.bincount(self.elements % p ** k, minlength=p ** k))
-            self._counts = tuple(tuple(row.tolist()) for row in rows)
-        return self._counts
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResidueHistogram):
-            return NotImplemented
-        return self.modulus == other.modulus and self.counts == other.counts
 
     def spread_ok(self) -> bool:
         """True when max - min <= 1 at every level."""
@@ -349,22 +342,13 @@ def chi_star(d: int, modulus: PrimePowerModulus) -> ResidueHistogram:
     return residue_histogram(IndexSet._trusted(modulus.n, np.arange(d)), modulus)
 
 
-def digit_reverse(a: int, p: int, m: int) -> int:
-    """Reverse the m base-p digits of a. Involution on [0:p^m-1]."""
-    if not 0 <= a < p ** m:
-        raise ValueError(f"{a} outside [0:{p ** m - 1}]")
-    out = 0
-    for _ in range(m):
-        a, digit = divmod(a, p)
-        out = out * p + digit
-    return out
-
-
 def dispersion(index_set: IndexSet, modulus: PrimePowerModulus) -> ResidueHistogram:
     """Block-occupancy counts: level k bins [0:N-1] into p^k blocks of
     length p^(M-k) and counts elements per block.
 
-    Satisfies dispersion(reverse(I))[k][reverse_k(a)] == chi_k(a; I).
+    Level k of dispersion(reverse(I)), at the class a with its k base-p
+    digits reversed, counts the elements of I congruent to a mod p^k
+    (the reference `digit_reverse` in `tests/reference.py` checks it).
     """
     if index_set.n != modulus.n:
         raise ValueError(
@@ -373,12 +357,6 @@ def dispersion(index_set: IndexSet, modulus: PrimePowerModulus) -> ResidueHistog
     p, m, arr = modulus.p, modulus.m, index_set.array
     rows = [np.bincount(arr // p ** (m - k), minlength=p ** k) for k in range(m + 1)]
     return ResidueHistogram(modulus, rows)
-
-
-def act(index_set: IndexSet, t: int, reflect: bool = False) -> IndexSet:
-    """Dihedral action: optionally negate mod N, then subtract t mod N."""
-    arr = -index_set.array if reflect else index_set.array
-    return IndexSet.of(index_set.n, (arr - t) % index_set.n)
 
 
 class BraceletClass(Record):

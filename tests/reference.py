@@ -2,7 +2,9 @@
 constructions, the random-subset experiment, the dihedral canonical
 form, the oracle's column classes and the condition bound, a plain
 rank oracle, the `json` parse of an index-set file, and two sumset
-fixtures.
+fixtures; with the test-only helpers that the package does not need: a
+reader of every level of a residue histogram, digit reversal, the
+dihedral action and the interpolating basis.
 
 These are the package's original algorithms over tuples, sets and
 Python-int bitmasks: a histogram built by looping over every element at
@@ -30,6 +32,54 @@ def histogram(elements, p, m):
             row[e % pk] += 1
         levels.append(row)
     return levels
+
+
+def read_levels(hist):
+    """Every level of a package `ResidueHistogram` as tuples of counts,
+    levels[k][a] for 0 <= k <= M: its `rows[k]` up to its top stored
+    level, and above that its `runs(k)` placed among p^k zeros."""
+    out = [tuple(row.tolist()) for row in hist.rows]
+    for k in range(hist.top + 1, hist.modulus.m + 1):
+        row, (classes, counts) = [0] * hist.modulus.p ** k, hist.runs(k)
+        for a, c in zip(classes.tolist(), counts.tolist()):
+            row[a] = c
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def digit_reverse(a, p, m):
+    """Reverse the m base-p digits of a. Involution on [0:p^m-1]."""
+    if not 0 <= a < p ** m:
+        raise ValueError(f"{a} outside [0:{p ** m - 1}]")
+    out = 0
+    for _ in range(m):
+        a, digit = divmod(a, p)
+        out = out * p + digit
+    return out
+
+
+def act(index_set, t, reflect=False):
+    """Dihedral action on a package `IndexSet`: optionally negate mod N,
+    then subtract t mod N."""
+    from unisamp.index_core import IndexSet
+
+    arr = -index_set.array if reflect else index_set.array
+    return IndexSet.of(index_set.n, (arr - t) % index_set.n)
+
+
+def interpolating_basis(basis_matrix, sample_set):
+    """Re-express a basis of a d-dimensional signal space so that column
+    j is 1 at the j-th sample index and 0 at the others: U = R (E_I^T R)^{-1},
+    gated by the singular-value rule of the package's `is_invertible`."""
+    from unisamp.base import SingularSystemError
+    from unisamp.fourier import _rank_report
+
+    r = np.asarray(basis_matrix, dtype=np.complex128)
+    square = r[sample_set.array, :]
+    report = _rank_report(square)
+    if not report.full_rank:
+        raise SingularSystemError(report)
+    return r @ np.linalg.inv(square)
 
 
 def verdict(levels):

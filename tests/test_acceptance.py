@@ -21,7 +21,6 @@ from unisamp import (
     condition_report,
     count_by_brute_force,
     count_universal,
-    digit_reverse,
     dispersion,
     interpolate,
     is_invertible,
@@ -34,7 +33,7 @@ from unisamp import (
     universal_subset_of_size,
 )
 from unisamp.uncertainty import support_profile, verify_uncertainty
-from reference import KNESER_FIXTURES
+from reference import KNESER_FIXTURES, digit_reverse, read_levels
 
 
 @contextmanager
@@ -92,13 +91,13 @@ def test_criterion_02_worked_multiset_example():
     with criterion(2, "N=8, I={0,1,3,4,6} level multisets match"):
         modulus = PrimePowerModulus(2, 3)
         s = iset(8, [0, 1, 3, 4, 6])
-        hist = residue_histogram(s, modulus)
-        assert sorted(hist.counts[1], reverse=True) == [3, 2]
-        assert sorted(hist.counts[2], reverse=True) == [2, 1, 1, 1]
-        assert hist.counts[3] == (1, 1, 0, 1, 1, 0, 1, 0)
-        star = chi_star(5, modulus)
+        hist = read_levels(residue_histogram(s, modulus))
+        assert sorted(hist[1], reverse=True) == [3, 2]
+        assert sorted(hist[2], reverse=True) == [2, 1, 1, 1]
+        assert hist[3] == (1, 1, 0, 1, 1, 0, 1, 0)
+        star = read_levels(chi_star(5, modulus))
         for k in range(4):
-            assert sorted(hist.counts[k]) == sorted(star.counts[k])
+            assert sorted(hist[k]) == sorted(star[k])
         assert is_universal(s, modulus).is_universal
 
 
@@ -327,11 +326,11 @@ def test_criterion_12_digit_reversal_criterion():
             d = int(rng.integers(1, 65))
             s = iset(64, (int(x) for x in rng.permutation(64)[:d]))
             rev = iset(64, (digit_reverse(e, 2, 6) for e in s))
-            disp = dispersion(rev, modulus)
-            hist = residue_histogram(s, modulus)
+            disp = read_levels(dispersion(rev, modulus))
+            hist = read_levels(residue_histogram(s, modulus))
             for k in range(7):
                 for a in range(1 << k):
                     assert (
-                        disp.counts[k][digit_reverse(a, 2, k)]
-                        == hist.counts[k][a]
+                        disp[k][digit_reverse(a, 2, k)]
+                        == hist[k][a]
                     )

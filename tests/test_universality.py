@@ -13,7 +13,6 @@ from unisamp import (
     InfeasibleSizeError,
     NotUniversalError,
     PrimePowerModulus,
-    act,
     decompose,
     is_universal,
     is_universal_via_chi_star,
@@ -28,6 +27,7 @@ from unisamp import index_core
 from unisamp.universality import _extract_piece, _full_level, _omega_rows
 from conftest import all_subsets, exact_pairwise_valuation
 import reference
+from reference import act, read_levels
 
 M8 = PrimePowerModulus(2, 3)
 M9 = PrimePowerModulus(3, 2)
@@ -78,7 +78,7 @@ class TestVerdicts:
                 assert v.witness is None
                 continue
             k, a, b = v.witness
-            row = residue_histogram(iset(n, elems), modulus).counts[k]
+            row = read_levels(residue_histogram(iset(n, elems), modulus))[k]
             assert row[b] - row[a] >= 2
 
     @pytest.mark.parametrize("modulus", [M8, M9])
@@ -112,10 +112,10 @@ class TestVerdicts:
         if not is_universal(s, modulus).is_universal:
             return
         d = len(s)
-        hist = residue_histogram(s, modulus)
+        hist = read_levels(residue_histogram(s, modulus))
         for k in range(modulus.m + 1):
             pk = modulus.p ** k
-            for c in hist.counts[k]:
+            for c in hist[k]:
                 assert d // pk <= c <= -(-d // pk)
 
 
@@ -225,14 +225,14 @@ class TestMaximal:
         n, p = modulus.n, modulus.p
         s = iset(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         size = maximal_universal(s, modulus).size
-        hist = residue_histogram(s, modulus)
-        full = [k for k in range(modulus.m + 1) if min(hist.counts[k]) > 0]
+        hist = read_levels(residue_histogram(s, modulus))
+        full = [k for k in range(modulus.m + 1) if min(hist[k]) > 0]
         kbar = max(full)
         assert p ** kbar <= size < p ** (kbar + 1)
-        deficient = [k for k in range(modulus.m + 1) if min(hist.counts[k]) == 0]
+        deficient = [k for k in range(modulus.m + 1) if min(hist[k]) == 0]
         if deficient:
             klow = min(deficient)
-            assert size <= sum(1 for c in hist.counts[klow] if c > 0)
+            assert size <= sum(1 for c in hist[klow] if c > 0)
 
     @given(st.data())
     @settings(max_examples=150)
@@ -424,6 +424,30 @@ class TestWorkingSet:
         s, modulus = _half_set(p, m), PrimePowerModulus(p, m)
         residue_histogram(s, modulus)
         assert _traced_peak(lambda: schur_valuation(s, modulus)) < 0.5 * s.array.nbytes
+
+
+@pytest.mark.parametrize("elements", [[0, 1, 3], [0, 2, 4]])
+def test_pyramid_readers_stay_bounded(elements):
+    """Every public reader of the pyramid, and the criteria and the
+    valuation that read it, cost |I|, not N: at N = 2^62 their traced
+    peak stays under 1 MB."""
+    modulus = PrimePowerModulus(2, 62)
+    s = iset(modulus.n, elements)
+
+    def read_all():
+        hist = residue_histogram(s, modulus)
+        for name in dir(hist):
+            if not name.startswith("_"):
+                getattr(hist, name)
+        hist.spread_ok()
+        for k in range(modulus.m + 1):
+            hist.runs(k)
+        is_universal(s, modulus)
+        is_universal_via_chi_star(s, modulus)
+        is_universal_via_dispersion(s, modulus)
+        schur_valuation(s, modulus)
+
+    assert _traced_peak(read_all) < 1 << 20
 
 
 def indicator_rows(n, subsets):
@@ -623,7 +647,7 @@ class TestDecompose:
             shadows: list = []
             for k, piece in dec.pieces:
                 assert len(piece) == p ** k
-                counts = residue_histogram(piece, modulus).counts[k]
+                counts = read_levels(residue_histogram(piece, modulus))[k]
                 assert set(counts) == {1}
                 assert not (set(piece) & seen)
                 for prev_k, prev_shadow in shadows:
