@@ -1,8 +1,8 @@
 """What the integer-only layer needs, with no numpy: the prime-power
-modulus, the enumeration budget, the exceptions of a failed check (the
-CLI's exit 1), the decoding and integer checks of JSON input, and the
-JSON writer. `index_core`, `universality` and `fourier` re-export the
-modulus and the exceptions.
+modulus, the one check that inputs share Z_N, the enumeration budget,
+the exceptions of a failed check (the CLI's exit 1), JSON input's
+decoding and integer checks, and the JSON writer. `index_core`,
+`universality` and `fourier` re-export the modulus and the exceptions.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ def _iroot(n: int, m: int) -> int:
     while (y := ((m - 1) * x + n // x ** (m - 1)) // m) < x:
         x = y
     return x
+
+
+def same_group(**inputs) -> int:
+    """The N of the one group Z_N of every input, N itself or an object with it
+    as `.n`; inputs in different groups raise ValueError naming each group."""
+    groups = {name: getattr(value, "n", value) for name, value in inputs.items()}
+    if len(set(groups.values())) > 1:
+        raise ValueError("inputs live in different groups: " + ", ".join(
+            f"{name} in Z_{n}" for name, n in groups.items()))
+    return next(iter(groups.values()))
 
 
 def file_text(raw: bytes) -> str:

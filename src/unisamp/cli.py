@@ -176,26 +176,28 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _require_n(args) -> int:
+def _modulus(args) -> PrimePowerModulus:
+    """The modulus of -N, factored, or of -p with -M (M = 1 when absent)."""
     if args.N is not None:
         if args.p is not None or args.M is not None:
             raise ValueError("specify -N, or -p with -M, not both")
+        return PrimePowerModulus.from_n(args.N)
+    if args.p is None:
+        raise ValueError("specify -N, or -p with -M")
+    return PrimePowerModulus(args.p, 1 if args.M is None else args.M)
+
+
+def _require_n(args) -> int:
+    """N of -N alone, which need not be a prime power, else of `_modulus`."""
+    if args.N is not None and args.p is None and args.M is None:
         return args.N
-    if args.p is not None:
-        return args.p ** (args.M if args.M is not None else 1)
-    raise ValueError("specify -N, or -p with -M")
-
-
-def _modulus(args) -> tuple[int, PrimePowerModulus]:
-    """N, from -N or as p^M, and its factorization."""
-    n = _require_n(args)
-    return n, PrimePowerModulus.from_n(n)
+    return _modulus(args).n
 
 
 def _residue_input(args) -> tuple[IndexSet, PrimePowerModulus]:
     """The -I index set and the modulus it lives under."""
-    n, modulus = _modulus(args)
-    return parse_index_set(args.I, n), modulus
+    modulus = _modulus(args)
+    return parse_index_set(args.I, modulus.n), modulus
 
 
 def _check(args) -> int:
@@ -254,11 +256,8 @@ def _decompose(args) -> int:
     return 0
 
 
-def _count(args) -> int:
-    _, modulus = _modulus(args)
-    count = (count_by_brute_force if args.brute else count_universal)(args.d, modulus)
-    # exact counts run to a million digits, past the interpreter's
-    # default int->str limit
+def _print_count(count: int) -> int:
+    """Print a count past the int->str digit limit, lifted only here for it."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -268,8 +267,13 @@ def _count(args) -> int:
     return 0
 
 
+def _count(args) -> int:
+    count = count_by_brute_force if args.brute else count_universal
+    return _print_count(count(args.d, _modulus(args)))
+
+
 def _entropy(args) -> int:
-    rows = entropy_curve(args.p, args.M, args.resolution)
+    rows = entropy_curve(PrimePowerModulus(args.p, args.M), args.resolution)
     print("alpha,normalized_log_count,M,p")
     for alpha, value in rows:
         print(f"{alpha:.10g},{value:.12g},{args.M},{args.p}")
@@ -278,13 +282,11 @@ def _entropy(args) -> int:
 
 def _bracelets(args) -> int:
     if args.count is not None:
-        print(bracelet_count(args.n, args.count))
-    else:
-        from .index_core import bracelet_canonical
+        return _print_count(bracelet_count(args.n, args.count))
+    from .index_core import bracelet_canonical
 
-        iset = parse_index_set(args.canonical, args.n)
-        cls = bracelet_canonical(iset)
-        _emit({"canonical": cls.canonical.array, "orbit_size": cls.orbit_size})
+    cls = bracelet_canonical(parse_index_set(args.canonical, args.n))
+    _emit({"canonical": cls.canonical.array, "orbit_size": cls.orbit_size})
     return 0
 
 
@@ -303,13 +305,12 @@ def _interpolate(args) -> int:
     from .index_core import IndexSet
 
     samples_obj = _load_json(args.samples)
-    support_obj = _load_json(args.support)
+    support = _load_json(args.support, IndexSet.loads)
     try:
         samples_n = json_int(samples_obj, "n")
         indices = samples_obj["indices"]
         sample_set = IndexSet.of(args.N, indices)
         values = complex_values(samples_obj["values"])
-        support = IndexSet.from_json(support_obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad samples/support JSON: {exc}")
     if len(values) != len(indices):
@@ -321,7 +322,7 @@ def _interpolate(args) -> int:
             raise ValueError(
                 f"{name} file declares n={declared}, command line says N={args.N}"
             )
-    signal = interpolate(values, sample_set, support, args.N)
+    signal = interpolate(values, sample_set, support)
     _emit(signal.to_json())
     return 0
 
@@ -329,7 +330,7 @@ def _interpolate(args) -> int:
 def _condition(args) -> int:
     from .fourier import condition_report
 
-    report = condition_report(parse_index_set(args.J, args.N), args.N)
+    report = condition_report(parse_index_set(args.J, args.N))
     _emit(vars(report))
     return 0
 
@@ -338,7 +339,7 @@ def _uncertainty(args) -> int:
     from .fourier import Signal
     from .uncertainty import verify_uncertainty
 
-    _, modulus = _modulus(args)
+    modulus = _modulus(args)
     signal = Signal.from_json(_load_json(args.signal))
     report = verify_uncertainty(signal, modulus)
     _emit(report.to_json())
@@ -348,9 +349,8 @@ def _uncertainty(args) -> int:
 def _rand_maximal(args) -> int:
     from .uncertainty import random_maximal_experiment
 
-    _, modulus = _modulus(args)
     summary = random_maximal_experiment(
-        modulus, args.s, args.d, args.delta, args.trials, args.seed
+        _modulus(args), args.s, args.d, args.delta, args.trials, args.seed
     )
     _emit(summary.to_json())
     return 0 if summary.within_bound else 1
@@ -359,9 +359,8 @@ def _rand_maximal(args) -> int:
 def _rand_signal(args) -> int:
     from .uncertainty import random_signal_uncertainty
 
-    _, modulus = _modulus(args)
     summary = random_signal_uncertainty(
-        modulus, args.r, args.delta, args.trials, args.seed
+        _modulus(args), args.r, args.delta, args.trials, args.seed
     )
     _emit(summary.to_json())
     return 0 if summary.within_bound else 1
@@ -377,8 +376,7 @@ def _sumset(args) -> int:
     out: dict = {"sumset": total.array}
     code = 0
     if args.check:
-        modulus = PrimePowerModulus.from_n(n)
-        report = cauchy_davenport_check(x, y, total, modulus)
+        report = cauchy_davenport_check(x, y, total, _modulus(args))
         out["check"] = report.to_json()
         if not report.omega_pass or report.direct_pass is False:
             code = 1

@@ -129,11 +129,9 @@ def count_by_brute_force(d: int, modulus: PrimePowerModulus) -> int:
     )
 
 
-def entropy_curve(
-    p: int, m: int, resolution: int
-) -> list[tuple[float, float]]:
-    """Normalized log-counts log C(floor(alpha*N), N) / N at equally
-    spaced alpha in [0, 1]. Both endpoints give exactly 0.
+def entropy_curve(modulus: PrimePowerModulus, resolution: int) -> list[tuple[float, float]]:
+    """Normalized log-counts log C(floor(alpha*N), N) / N, N = modulus.n,
+    at equally spaced alpha in [0, 1]. Both endpoints give exactly 0.
 
     Each log-count is _log_count, its exponents divided by N, so no
     count is formed. It differs from log(count_universal) / N by a few
@@ -141,13 +139,12 @@ def entropy_curve(
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    modulus = PrimePowerModulus(p, m)
     n = modulus.n
     rows = []
     for i in range(resolution):
         alpha = i / (resolution - 1)
         d = math.floor(alpha * n) if n < 2 ** 1000 else i * n // (resolution - 1)
-        rows.append((alpha, _log_count(_exponents(min(n, d), modulus), p, n)))
+        rows.append((alpha, _log_count(_exponents(min(n, d), modulus), modulus.p, n)))
     return rows
 
 
@@ -157,12 +154,16 @@ def bracelet_count(n: int, d: int) -> int:
     Burnside form: the cyclic (rotation) term is
     (1/2n) * sum over k | gcd(n, d) of phi(k) * C(n/k, d/k), and the
     reflection term is half a single binomial depending on the parities
-    of n and d.
+    of n and d. A count past MAX_COUNT_DIGITS digits is refused unformed.
     """
     if n < 1:
         raise ValueError(f"ambient size must be >= 1, got {n}")
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
+    digits = (_log_count({d: 1}, n) - math.log(2 * n)) / math.log(10)  # C(n, d) / 2n <= count
+    if digits > MAX_COUNT_DIGITS:
+        raise ValueError(f"the count at n={n}, d={d} has about {digits:.4g} decimal "
+                         f"digits, more than the limit of {MAX_COUNT_DIGITS}")
     g = math.gcd(n, d) if d else n
     rot = sum(
         _totient(k) * math.comb(n // k, d // k)

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .base import ENUMERATION_BUDGET, Record, SingularSystemError, json_chunks, json_int
+from .base import ENUMERATION_BUDGET, Record, SingularSystemError, json_chunks, json_int, same_group
 from .index_core import IndexSet, bracelet_canonical, bracelet_representatives
 
 TOLERANCE = 1e-10  # the relative singular-value threshold of every rank test
@@ -94,16 +94,12 @@ def dft_matrix(n: int) -> np.ndarray:
     The exponent is reduced mod N before the complex exponential so
     phases stay exact multiples of 2*pi/N.
     """
-    return dft_submatrix(IndexSet.full(n), IndexSet.full(n), n)
+    return dft_submatrix(IndexSet.full(n), IndexSet.full(n))
 
 
-def dft_submatrix(rows: IndexSet, cols: IndexSet, n: int) -> np.ndarray:
-    """The rows x cols block of dft_matrix(n)."""
-    if rows.n != n or cols.n != n:
-        raise ValueError(
-            f"row set (n={rows.n}) and column set (n={cols.n}) must both "
-            f"live in Z_{n}"
-        )
+def dft_submatrix(rows: IndexSet, cols: IndexSet) -> np.ndarray:
+    """The rows x cols block of dft_matrix(N), N the sets' shared group."""
+    n = same_group(rows=rows, cols=cols)
     # one complex buffer; the operation order of exp(-2j*pi*phase/n)
     phase = np.outer(rows.array, cols.array)
     phase %= n
@@ -122,7 +118,7 @@ def _rank_report(matrix: np.ndarray) -> RankReport:
     return RankReport(rank, smin, smax, TOLERANCE, d)
 
 
-def is_invertible(rows: IndexSet, cols: IndexSet, n: int) -> RankReport:
+def is_invertible(rows: IndexSet, cols: IndexSet) -> RankReport:
     """Numerical invertibility of the (rows, cols) DFT submatrix.
 
     Full rank means the smallest singular value clears
@@ -132,7 +128,7 @@ def is_invertible(rows: IndexSet, cols: IndexSet, n: int) -> RankReport:
         raise ValueError(
             f"need a square submatrix, got {len(rows)}x{len(cols)}"
         )
-    return _rank_report(dft_submatrix(rows, cols, n))
+    return _rank_report(dft_submatrix(rows, cols))
 
 
 # Column sets per batched SVD; it bounds the oracle's memory.
@@ -150,7 +146,7 @@ def _oracle_verdict(rows: IndexSet) -> bool:
     """brute_force_universal for a canonical row set of size 1..N/2,
     whose |I| x N row block then has at most 2 C(N, |I|) entries."""
     n, d = rows.n, len(rows)
-    base = dft_submatrix(rows, IndexSet.full(n), n)
+    base = dft_submatrix(rows, IndexSet.full(n))
     reps = _column_classes(n, d)
     for start in range(0, len(reps), _SVD_CHUNK):
         block = base[:, reps[start : start + _SVD_CHUNK]]
@@ -174,9 +170,10 @@ def brute_force_universal(index_set: IndexSet, n: int) -> bool:
     or negating the rows also preserves singular values. Refuses more
     than ENUMERATION_BUDGET column sets, C(n, |I|) = C(n, n - |I|)
     counted before classes are formed, which bounds both time and memory.
+    N is passed as `n` as well as read from the set, which must share it:
+    the benchmark's tracer reads that argument to count column sets.
     """
-    if index_set.n != n:
-        raise ValueError(f"index set lives in Z_{index_set.n}, not Z_{n}")
+    same_group(index_set=index_set, n=n)
     d = len(index_set)
     total = math.comb(n, d)
     if total > ENUMERATION_BUDGET:
@@ -191,10 +188,10 @@ def brute_force_universal(index_set: IndexSet, n: int) -> bool:
     return _oracle_verdict(bracelet_canonical(index_set).canonical)
 
 
-def interpolate(samples, sample_set: IndexSet, support: IndexSet, n: int) -> Signal:
-    """Unique signal with spectrum confined to `support` matching the
-    given samples on `sample_set`; samples[k] is the value at the k-th
-    smallest element of `sample_set`.
+def interpolate(samples, sample_set: IndexSet, support: IndexSet) -> Signal:
+    """Unique signal on Z_N, the group both sets live in, with spectrum
+    confined to `support` matching the given samples on `sample_set`;
+    samples[k] is the value at the k-th smallest element of `sample_set`.
 
     Builds only the d x d system A = E_I^T F* E_J, the conjugate of the
     DFT submatrix whose singular values gate it as in is_invertible;
@@ -203,7 +200,7 @@ def interpolate(samples, sample_set: IndexSet, support: IndexSet, n: int) -> Sig
     these systems ill-conditioned); synthesizes f = F* E_J c as
     N * ifft of c placed on J. Memory is O(N + d^2).
     """
-    d = len(sample_set)
+    d, n = len(sample_set), support.n
     if len(support) != d:
         raise ValueError(
             f"sample set size {d} must match support size {len(support)}"
@@ -213,7 +210,7 @@ def interpolate(samples, sample_set: IndexSet, support: IndexSet, n: int) -> Sig
         raise ValueError(f"expected {d} sample values, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("values must be finite")
-    entries = dft_submatrix(sample_set, support, n)
+    entries = dft_submatrix(sample_set, support)
     report = _rank_report(entries)
     if not report.full_rank:
         raise SingularSystemError(report)
@@ -256,14 +253,14 @@ class ConditionReport(Record):
     lower_bound: float
 
 
-def condition_report(support: IndexSet, n: int) -> ConditionReport:
+def condition_report(support: IndexSet) -> ConditionReport:
     """Condition number of the sampling submatrix on the consecutive
-    sample block [0:d-1], d = |support|, with the product-of-sines lower
-    bound sqrt(d) * (prod over ordered pairs |2 sin(pi*(j1-j2)/N)|)^{-1/(2d)}."""
-    d = len(support)
+    sample block [0:d-1], d = |support|, in the support's group Z_N, with the
+    product-of-sines lower bound sqrt(d) * (prod over ordered pairs |2 sin(pi*(j1-j2)/N)|)^{-1/(2d)}."""
+    n, d = support.n, len(support)
     if d == 0:
         raise ValueError("the condition number needs a nonempty support")
-    report = _rank_report(dft_submatrix(IndexSet._trusted(n, np.arange(d)), support, n))
+    report = _rank_report(dft_submatrix(IndexSet._trusted(n, np.arange(d)), support))
     smin, smax = report.smallest_singular_value, report.largest_singular_value
     cond = smax / smin if smin > 0 else math.inf
     j = support.array

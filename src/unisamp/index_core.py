@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .base import PrimePowerModulus, Record, file_text, json_chunks, json_int
+from .base import PrimePowerModulus, Record, file_text, json_chunks, json_int, same_group
 from .counting import bracelet_count  # noqa: F401
 
 
@@ -314,10 +314,7 @@ def residue_histogram(index_set: IndexSet, modulus: PrimePowerModulus) -> Residu
     kept on the index set, so the criteria, the witness and the
     valuation of one set share one pyramid.
     """
-    if index_set.n != modulus.n:
-        raise ValueError(
-            f"index set lives in Z_{index_set.n}, modulus is {modulus.n}"
-        )
+    same_group(index_set=index_set, modulus=modulus)
     if index_set._histogram is not None:  # N = p^M fixes the modulus
         return index_set._histogram
     p, arr = modulus.p, index_set.array
@@ -350,10 +347,7 @@ def dispersion(index_set: IndexSet, modulus: PrimePowerModulus) -> ResidueHistog
     digits reversed, counts the elements of I congruent to a mod p^k
     (the reference `digit_reverse` in `tests/reference.py` checks it).
     """
-    if index_set.n != modulus.n:
-        raise ValueError(
-            f"index set lives in Z_{index_set.n}, modulus is {modulus.n}"
-        )
+    same_group(index_set=index_set, modulus=modulus)
     p, m, arr = modulus.p, modulus.m, index_set.array
     rows = [np.bincount(arr // p ** (m - k), minlength=p ** k) for k in range(m + 1)]
     return ResidueHistogram(modulus, rows)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import PrimePowerModulus, Record
+from .base import PrimePowerModulus, Record, same_group
 from .index_core import IndexSet
 from .fourier import Signal
 from .universality import _omega_rows, maximal_universal
@@ -80,14 +80,13 @@ def verify_uncertainty(signal: Signal, modulus: PrimePowerModulus) -> Uncertaint
     Phi(supp) = N - Omega(Z), and one Omega fold over the two zero sets
     decides all four.
     """
-    if signal.n != modulus.n:
-        raise ValueError(f"signal length {signal.n} does not match N={modulus.n}")
+    n = same_group(signal=signal, modulus=modulus)
     time = support_profile(signal)
     freq = support_profile(signal.spectrum())
     if len(time.support) == 0:
         raise ValueError("uncertainty bounds apply to nonzero signals only")
 
-    zeros = np.zeros((2, modulus.n), dtype=bool)
+    zeros = np.zeros((2, n), dtype=bool)
     zeros[0, time.zero_set.array] = zeros[1, freq.zero_set.array] = True
     omega_time, omega_freq = _omega_rows(zeros, modulus).tolist()
     return UncertaintyReport((
@@ -96,9 +95,9 @@ def verify_uncertainty(signal: Signal, modulus: PrimePowerModulus) -> Uncertaint
         BoundCheck("signal support vs spectral zero-set Omega",
                    len(time.support), 1 + omega_freq),
         BoundCheck("support Phi vs spectral zero count",
-                   modulus.n - omega_time, len(freq.zero_set) + 1),
+                   n - omega_time, len(freq.zero_set) + 1),
         BoundCheck("spectral support Phi vs zero count",
-                   modulus.n - omega_freq, len(time.zero_set) + 1),
+                   n - omega_freq, len(time.zero_set) + 1),
     ))
 
 
@@ -245,9 +244,7 @@ def random_signal_uncertainty(
 
 def sumset(x: IndexSet, y: IndexSet) -> IndexSet:
     """All pairwise sums mod N."""
-    if x.n != y.n:
-        raise ValueError(f"ambient sizes differ: {x.n} vs {y.n}")
-    n, ys = x.n, y.array.tolist()
+    n, ys = same_group(x=x, y=y), y.array.tolist()
     sums = {(a + b) % n for a in x.array.tolist() for b in ys}
     return IndexSet.of(n, sums)
 
@@ -275,10 +272,7 @@ def cauchy_davenport_check(
     always applies (clamped at N: a universal set plus enough elements
     covers everything).
     """
-    if x.n != modulus.n or y.n != modulus.n:
-        raise ValueError("both sets must live in the modulus's ambient group")
-    size = len(sums)
-    n = modulus.n
+    n, size = same_group(x=x, y=y, sums=sums, modulus=modulus), len(sums)
     direct = len(x) + len(y) - 1
     omega_x = maximal_universal(x, modulus).size
     omega_y = maximal_universal(y, modulus).size

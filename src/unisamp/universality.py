@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import InfeasibleSizeError, NotUniversalError, Record
+from .base import InfeasibleSizeError, NotUniversalError, Record, same_group
 from .index_core import (
     IndexSet,
     PrimePowerModulus,
@@ -217,8 +217,7 @@ def _greedy(index_set: IndexSet, modulus: PrimePowerModulus, levels=None) -> Uni
     nothing does. Once that level is 0 it stays 0, and a piece at level 0 is the smallest
     element left, its shadow the rest of its class mod p: so the level-0 pieces are the
     smallest elements of the remaining classes mod p, ascending, taken in one pass."""
-    if index_set.n != modulus.n:
-        raise ValueError(f"index set lives in Z_{index_set.n}, modulus is {modulus.n}")
+    same_group(index_set=index_set, modulus=modulus)
     pieces, remaining = [], index_set
     while len(remaining) if levels is None else len(pieces) < len(levels):
         k = _full_level(remaining.array, modulus.p) if levels is None else levels[len(pieces)]

@@ -156,7 +156,7 @@ def test_criterion_06_chebotarev():
         for d in (1, 2, 3):
             for rows in combinations(range(7), d):
                 for cols in combinations(range(7), d):
-                    rep = is_invertible(iset(7, rows), iset(7, cols), 7)
+                    rep = is_invertible(iset(7, rows), iset(7, cols))
                     assert rep.full_rank
                     assert rep.smallest_singular_value > 1e3 * tol
         rng = np.random.default_rng(613)
@@ -165,7 +165,7 @@ def test_criterion_06_chebotarev():
                 d = int(rng.integers(1, n + 1))
                 rows = iset(n, (int(x) for x in rng.permutation(n)[:d]))
                 cols = iset(n, (int(x) for x in rng.permutation(n)[:d]))
-                rep = is_invertible(rows, cols, n)
+                rep = is_invertible(rows, cols)
                 assert rep.full_rank
                 assert rep.smallest_singular_value > 1e3 * tol
 
@@ -185,10 +185,10 @@ def _round_trip_trials(n, p, m, trials, seed):
         spectrum[idx] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         f = np.fft.ifft(spectrum)
         samples = f[np.asarray(sample_set.elements)]
-        got = interpolate(samples, sample_set, support, n).values
+        got = interpolate(samples, sample_set, support).values
         rel = np.linalg.norm(got - f) / np.linalg.norm(f)
         assert rel < 1e-8, f"N={n}, d={d}: relative error {rel:.2e}"
-        rep = condition_report(support, n)
+        rep = condition_report(support)
         assert rep.condition_number >= rep.lower_bound * (1 - 1e-9)
         done += 1
 
@@ -198,7 +198,7 @@ def test_criterion_07_interpolation_round_trip():
         _round_trip_trials(16, 2, 4, 500, seed=716)
         _round_trip_trials(32, 2, 5, 500, seed=732)
         # ill-conditioned path: consecutive low frequencies at N=64
-        rep = condition_report(iset(64, range(8)), 64)
+        rep = condition_report(iset(64, range(8)))
         assert rep.lower_bound > 10.0
         assert math.isfinite(rep.condition_number)
         assert rep.condition_number >= rep.lower_bound * (1 - 1e-9)

@@ -233,6 +233,30 @@ class TestCountingCommands:
         code, out, _ = run(capsys, "bracelets", "-n", "6", "--count", "2")
         assert code == 0 and out.strip() == "3"
 
+    def test_bracelets_count_past_digit_limit(self, capsys):
+        """The class count at n = 20000, d = 10000 has 6,014 digits, more
+        than the interpreter prints by default."""
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "bracelets", "-n", "20000", "--count", "10000")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{unisamp.bracelet_count(20000, 10000)}\n"
+            assert len(out) == 6014 + 1 and out.startswith("56140066568658638538")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_bracelets_count_past_digit_cap(self, capsys):
+        """C(10^7, 5 * 10^6) / 2 * 10^7, a lower bound of the class count,
+        has about 3.01e6 digits: refused before the count is formed."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bracelets", "-n", "10000000", "--count", "5000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: the count at n=10000000, d=5000000 has about 3.01e+06 "
+                       "decimal digits, more than the limit of 1000000\n")
+
     def test_bracelets_empty_ambient_usage_error(self, capsys):
         code, out, err = run(capsys, "bracelets", "-n", "0", "--count", "0")
         assert code == 2 and out == ""
@@ -711,7 +735,7 @@ class TestExitCodes:
         sig.write_text(json.dumps({"n": 9, "values": [[1, 0]] * 9}))
         code, out, err = run(capsys, "uncertainty", "-N", "8", "--signal", str(sig))
         assert code == 2 and out == ""
-        assert "signal length 9 does not match N=8" in err
+        assert err == "error: inputs live in different groups: signal in Z_9, modulus in Z_8\n"
 
     @pytest.mark.parametrize("extra", [["-p", "3"], ["-M", "2"], ["-p", "3", "-M", "2"]])
     @pytest.mark.parametrize("argv", [["check", "-I", "0,1"], ["count", "-d", "1"]])
@@ -721,6 +745,20 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "-N", "8", *extra)
         assert code == 2 and out == ""
         assert err == "error: specify -N, or -p with -M, not both\n"
+
+    @pytest.mark.parametrize("p,m,message", [
+        ("4", "2", "p = 4 is not prime"), ("2", "0", "exponent must be >= 1, got 0"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--resolution", "3"], ["count", "-d", "3"], ["check", "-I", "0,1,2"],
+        ["construct", "-I", "0,1,2", "--size", "1"], ["uncertainty", "--signal", "x.json"],
+        ["rand-signal", "-r", "1", "--delta", "1", "--trials", "1", "--seed", "0"],
+        ["sumset", "-X", "0", "-Y", "0"], ["sumset", "-X", "0", "-Y", "0", "--check"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[-1:]))
+    def test_p_and_m_build_the_modulus_as_written(self, capsys, argv, p, m, message):
+        """-p must be prime and -M at least 1 in every command: p^M is not
+        refactored, so -p 4 -M 2 is not read as 2^4, nor -M 0 as N = 1."""
+        assert run(capsys, *argv, "-p", p, "-M", m) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("modulus", [["-N", "9"], ["-p", "3", "-M", "2"]])
     def test_n_alone_or_p_with_m(self, capsys, modulus):
@@ -813,6 +851,19 @@ class TestBooleanIndices:
             "--samples", str(samples_file), "--support", str(support_file),
         )
         assert (code, out) == (2, "") and "indices must be integers" in err
+
+    @pytest.mark.parametrize("text", ['{"n": 8, "indices": [true, 3]}', '{"n": 8}', "[1, 2"])
+    def test_support_file_reads_as_an_index_file(self, capsys, tmp_path, text):
+        """`--support` is read by the index-set reader of `-I @file`, so a
+        malformed one exits 2 with the message that `-I @file` gives."""
+        samples_file = tmp_path / "samples.json"
+        samples_file.write_text('{"n": 8, "indices": [0, 3], "values": [[1, 0], [0, 1]]}')
+        path = tmp_path / "set.json"
+        path.write_text(text)
+        want = run(capsys, "check", "-N", "8", "-I", f"@{path}")
+        assert want[:2] == (2, "")
+        assert run(capsys, "interpolate", "-N", "8", "--samples", str(samples_file),
+                   "--support", str(path)) == want
 
 
 def run_with_pair(capsys, tmp_path, command, pair):

@@ -143,30 +143,30 @@ class TestLogExact:
 
 class TestEntropyCurve:
     def test_endpoints_zero(self):
-        rows = entropy_curve(2, 4, 9)
+        rows = entropy_curve(PrimePowerModulus(2, 4), 9)
         assert rows[0] == (0.0, 0.0)
         assert rows[-1][0] == 1.0 and rows[-1][1] == 0.0
 
     def test_symmetry_on_exact_grid(self):
         # resolution chosen so floor(alpha*N) pairs sum to N exactly
         n = 16
-        rows = entropy_curve(2, 4, n + 1)
+        rows = entropy_curve(PrimePowerModulus(2, 4), n + 1)
         for i in range(n + 1):
             assert rows[i][1] == pytest.approx(rows[n - i][1], abs=1e-12)
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
-            entropy_curve(2, 3, 1)
+            entropy_curve(PrimePowerModulus(2, 3), 1)
 
     def test_values_against_direct_formula(self):
-        rows = dict(entropy_curve(2, 3, 5))
+        rows = dict(entropy_curve(PrimePowerModulus(2, 3), 5))
         assert rows[0.5] == pytest.approx(math.log(16) / 8)
 
     @pytest.mark.parametrize("p, m", [(2, 10), (3, 6), (5, 4), (7, 3)])
     def test_matches_exact_log_count(self, p, m):
         modulus = PrimePowerModulus(p, m)
         n = modulus.n
-        for alpha, value in entropy_curve(p, m, 33):
+        for alpha, value in entropy_curve(modulus, 33):
             d = min(n, math.floor(alpha * n))
             want = _log_exact(count_universal(d, modulus)) / n
             assert value == pytest.approx(want, rel=0, abs=1e-12), (p, m, d)
@@ -180,7 +180,7 @@ class TestEntropyCurve:
                  ((p, 1), math.log(2) - math.log(math.pi * (p + 1) / 2) / 2 / p)]
         for (base, m), want in cases:
             start = time.perf_counter()
-            rows = entropy_curve(base, m, 3)
+            rows = entropy_curve(PrimePowerModulus(base, m), 3)
             assert time.perf_counter() - start < 1.0
             assert rows[1][0] == 0.5
             assert rows[1][1] == pytest.approx(want, rel=0, abs=1e-12)

@@ -349,7 +349,7 @@ def test_interpolate_peak_at_4096_512():
     values = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     tracemalloc.start()
     try:
-        interpolate(values, sample_set, support, n)
+        interpolate(values, sample_set, support)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

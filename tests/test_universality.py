@@ -502,6 +502,24 @@ class TestPrescribedSize:
         r = maximal_universal(s, M32)
         assert universal_subset_of_size(s, M32, r.size) == r.example
 
+    @pytest.mark.parametrize("p,m", [(2, 3), (2, 4), (3, 2), (2, 6), (3, 4), (5, 3),
+                                     (7, 3), (3, 6), (2, 10)])
+    def test_construct_at_omega_is_maximal(self, p, m):
+        """On a random set of each size, universal or not, maximal's piece
+        levels are the base-p digit levels of its size Omega, most
+        significant first, each repeated by its digit, and construct at
+        size Omega returns maximal's example."""
+        modulus = PrimePowerModulus(p, m)
+        n = modulus.n
+        rng = np.random.default_rng(n)
+        for size in range(1, n + 1):
+            s = IndexSet.of(n, rng.choice(n, size, replace=False))
+            r = maximal_universal(s, modulus)
+            digits = [r.size // p ** k % p for k in range(m, -1, -1)]
+            levels = tuple(k for k, digit in zip(range(m, -1, -1), digits) for _ in range(digit))
+            assert r.decomposition.k_sequence == levels, (n, sorted(s))
+            assert universal_subset_of_size(s, modulus, r.size) == r.example
+
     def test_size_five_from_worked_set(self):
         s = iset(32, [0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 12, 14, 15])
         got = universal_subset_of_size(s, M32, 5)
