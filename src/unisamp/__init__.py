@@ -30,7 +30,7 @@ _MODULE_OF = {
         "counting": "BasePExpansion base_p_expansion bracelet_count "
         "count_by_brute_force count_universal entropy_curve",
         "fourier": "RankReport Signal brute_force_universal condition_report "
-        "dft_submatrix find_sampling_set interpolate is_invertible",
+        "dft_submatrix interpolate is_invertible",
         "uncertainty": "RandomExperimentSummary SupportProfile "
         "cauchy_davenport_check random_maximal_experiment "
         "random_signal_uncertainty sumset support_profile verify_uncertainty",

@@ -1,7 +1,7 @@
 """What the integer-only layer needs, with no numpy: the prime-power
-modulus, the one check that inputs share Z_N, the enumeration budget,
-the exceptions of a failed check (the CLI's exit 1), JSON input's
-decoding and integer checks, and the JSON writer. `index_core`,
+modulus, the one check that inputs share Z_N, the fixed rank tolerance
+and enumeration budget, the exceptions of a failed check (the CLI's exit
+1), JSON input's decoding and integer checks, and the JSON writer. `index_core`,
 `universality` and `fourier` re-export the modulus and the exceptions.
 """
 
@@ -13,6 +13,7 @@ import math
 
 JSON_CHUNK = 1 << 14  # array entries per piece of `json_chunks`
 ENUMERATION_BUDGET = 1 << 24  # most C(N, d) that `count --brute` and the oracle enumerate
+TOLERANCE = 1e-10  # the relative singular-value threshold of every rank test
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_CERTIFIED = 3317044064679887385961981
 
@@ -59,6 +60,14 @@ def same_group(**inputs) -> int:
         raise ValueError("inputs live in different groups: " + ", ".join(
             f"{name} in Z_{n}" for name, n in groups.items()))
     return next(iter(groups.values()))
+
+
+def enumeration_size(n: int, d: int, noun: str) -> int:
+    """C(n, d), or ValueError calling the d-subsets `noun` past ENUMERATION_BUDGET."""
+    if (total := math.comb(n, d)) > ENUMERATION_BUDGET:
+        raise ValueError(f"C({n},{d}) = {total} {noun} exceeds the "
+                         f"enumeration budget of {ENUMERATION_BUDGET}")
+    return total
 
 
 def file_text(raw: bytes) -> str:
@@ -208,5 +217,5 @@ class SingularSystemError(ValueError):
         super().__init__(
             f"singular system: smallest singular value "
             f"{report.smallest_singular_value:.3e} below threshold "
-            f"(tolerance {report.tolerance:g})"
+            f"(tolerance {TOLERANCE:g})"
         )

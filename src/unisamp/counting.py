@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
-from .base import ENUMERATION_BUDGET, PrimePowerModulus, Record
+from .base import PrimePowerModulus, Record, enumeration_size
 
 
 class BasePExpansion(Record):
@@ -108,20 +108,15 @@ def count_universal(d: int, modulus: PrimePowerModulus) -> int:
 
 
 def count_by_brute_force(d: int, modulus: PrimePowerModulus) -> int:
-    """Count by enumerating every d-subset and testing each one; more
-    than ENUMERATION_BUDGET subsets are refused."""
+    """Count by enumerating every d-subset and testing each one; past
+    the enumeration budget (base.enumeration_size) it is refused."""
     from .index_core import IndexSet  # numpy, loaded on first use
     from .universality import is_universal
 
     if not 0 <= d <= modulus.n:
         raise ValueError(f"cardinality {d} outside [0:{modulus.n}]")
-    total_subsets = math.comb(modulus.n, d)
-    if total_subsets > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"C({modulus.n},{d}) = {total_subsets} subsets exceeds the "
-            f"enumeration budget of {ENUMERATION_BUDGET}"
-        )
     n = modulus.n
+    enumeration_size(n, d, "subsets")
     return sum(
         1
         for combo in combinations(range(n), d)

@@ -4,6 +4,7 @@ bandlimited interpolation.
 Everything here is the analytic side of the story: invertibility of
 row/column submatrices of the N-point DFT decided numerically, which
 serves as the independent ground truth for the combinatorial criteria.
+Every rank test decides through `_ranks`, by the rule of base.TOLERANCE.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from itertools import chain
 
 import numpy as np
 
-from .base import ENUMERATION_BUDGET, Record, SingularSystemError, json_chunks, json_int, same_group
+from .base import (TOLERANCE, Record, SingularSystemError, enumeration_size, json_chunks,
+                   json_int, same_group)
 from .index_core import IndexSet, bracelet_canonical, bracelet_representatives
-
-TOLERANCE = 1e-10  # the relative singular-value threshold of every rank test
 
 
 def complex_values(pairs) -> np.ndarray:
@@ -77,10 +77,11 @@ class Signal:
 
 
 class RankReport(Record):
+    """A square matrix's order, extreme singular values and rank by `_ranks`."""
+
     numerical_rank: int
     smallest_singular_value: float
     largest_singular_value: float
-    tolerance: float
     order: int
 
     @property
@@ -108,26 +109,27 @@ def dft_submatrix(rows: IndexSet, cols: IndexSet) -> np.ndarray:
     return np.exp(block, out=block)
 
 
+def _ranks(sv: np.ndarray) -> np.ndarray:
+    """Numerical ranks of d x d matrices, batched on leading axes, from their
+    descending singular values: the number above the tolerance times d times
+    the largest. Every rank test in the package decides by this rule."""
+    return np.count_nonzero(sv > TOLERANCE * sv.shape[-1] * sv[..., :1], axis=-1)
+
+
 def _rank_report(matrix: np.ndarray) -> RankReport:
-    d = min(matrix.shape)
     sv = np.linalg.svd(matrix, compute_uv=False)
-    smax = float(sv[0]) if d else 0.0
-    smin = float(sv[-1]) if d else 0.0
-    threshold = TOLERANCE * max(matrix.shape) * smax
-    rank = int(np.count_nonzero(sv > threshold))
-    return RankReport(rank, smin, smax, TOLERANCE, d)
+    smin, smax = (float(sv[-1]), float(sv[0])) if len(sv) else (0.0, 0.0)
+    return RankReport(int(_ranks(sv)), smin, smax, len(sv))
 
 
 def is_invertible(rows: IndexSet, cols: IndexSet) -> RankReport:
     """Numerical invertibility of the (rows, cols) DFT submatrix.
 
-    Full rank means the smallest singular value clears
-    TOLERANCE * d * (largest singular value); an empty one is full rank.
+    Full rank means the smallest singular value clears the tolerance
+    times d times the largest (`_ranks`); an empty one is full rank.
     """
     if len(rows) != len(cols):
-        raise ValueError(
-            f"need a square submatrix, got {len(rows)}x{len(cols)}"
-        )
+        raise ValueError(f"need a square submatrix, got {len(rows)}x{len(cols)}")
     return _rank_report(dft_submatrix(rows, cols))
 
 
@@ -151,14 +153,14 @@ def _oracle_verdict(rows: IndexSet) -> bool:
     for start in range(0, len(reps), _SVD_CHUNK):
         block = base[:, reps[start : start + _SVD_CHUNK]]
         sv = np.linalg.svd(np.moveaxis(block, 1, 0), compute_uv=False)
-        if np.any(sv[:, -1] <= TOLERANCE * d * sv[:, 0]):
+        if np.any(_ranks(sv) < d):
             return False
     return True
 
 
 def brute_force_universal(index_set: IndexSet, n: int) -> bool:
     """True iff every square DFT submatrix with these rows is invertible,
-    each minor decided by the singular-value rule of is_invertible.
+    each minor decided by the rule of is_invertible, _SVD_CHUNK at a time.
 
     I is universal iff its complement is: F^-1 = conj(F)/N and F is
     symmetric, so by Jacobi's identity for minors of the inverse
@@ -167,20 +169,16 @@ def brute_force_universal(index_set: IndexSet, n: int) -> bool:
     N-I), with one column set of its size per rotation/reflection class
     (bracelet_representatives), and verdicts are cached per class of
     the tested rows (their bracelet_canonical form), since translating
-    or negating the rows also preserves singular values. Refuses more
-    than ENUMERATION_BUDGET column sets, C(n, |I|) = C(n, n - |I|)
-    counted before classes are formed, which bounds both time and memory.
+    or negating the rows also preserves singular values. Refuses past the
+    enumeration budget (base.enumeration_size) of C(n, |I|) = C(n, n - |I|)
+    column sets, counted before classes are formed, which bounds both
+    time and memory.
     N is passed as `n` as well as read from the set, which must share it:
     the benchmark's tracer reads that argument to count column sets.
     """
     same_group(index_set=index_set, n=n)
     d = len(index_set)
-    total = math.comb(n, d)
-    if total > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"C({n},{d}) = {total} column sets exceeds the enumeration "
-            f"budget of {ENUMERATION_BUDGET}"
-        )
+    enumeration_size(n, d, "column sets")
     if 2 * d > n:
         index_set = index_set.complement()
     if len(index_set) <= 1:
@@ -222,30 +220,6 @@ def interpolate(samples, sample_set: IndexSet, support: IndexSet) -> Signal:
     values = np.fft.ifft(spectrum)
     values *= n  # in place: the same products as n * ifft, without a copy
     return Signal(n, values, _own=True)
-
-
-def find_sampling_set(basis_matrix) -> IndexSet:
-    """Pick d rows of an N x d rank-d matrix forming a well-conditioned
-    square submatrix: the pivots of QR with column pivoting on the
-    transpose, in O(N d^2). Each step takes the row of largest residual
-    norm, the first on ties, and projects it out of the others; the rank
-    falls short once that norm is TOLERANCE * d * the largest row norm or less."""
-    r = np.array(basis_matrix, dtype=np.complex128)  # residuals, reduced in place
-    n, d = r.shape
-    floor = TOLERANCE * d * np.linalg.norm(r, axis=1).max(initial=0.0)
-    rows = []
-    for _ in range(min(n, d)):
-        norms = np.linalg.norm(r, axis=1)
-        p = int(np.argmax(norms))
-        if norms[p] <= floor:
-            break
-        q = r[p] / norms[p]
-        r -= np.outer(r @ q.conj(), q)
-        r[p] = 0
-        rows.append(p)
-    if len(rows) < d:
-        raise ValueError(f"matrix rank below {d}; no sampling set exists")
-    return IndexSet.of(n, rows)
 
 
 class ConditionReport(Record):

@@ -137,6 +137,8 @@ class RandomExperimentSummary(Record):
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     # independent stream per trial; results do not depend on scheduling
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
 
 
@@ -163,7 +165,7 @@ def random_maximal_experiment(
     n = modulus.n
     if not 0 <= s <= n:
         raise ValueError(f"sample size {s} outside [0:{n}]")
-    if d < 1 or delta <= 0 or trials < 1:
+    if d < 1 or not 0 < delta < math.inf or trials < 1:
         raise ValueError("need d >= 1, delta > 0, trials >= 1")
     lam = (n - s) / n
     lhs = math.inf if lam == 0 else n * math.log(1.0 / lam)
@@ -210,16 +212,14 @@ def random_signal_uncertainty(
     Supports are uniform r-subsets, values standard complex Gaussians.
     Holds with probability at least 1 - (a - r)^(-delta) when r < a.
     """
+    if not 0 < delta < math.inf or trials < 1:
+        raise ValueError("need delta > 0, trials >= 1")
     n = modulus.n
     a = threshold_a(n, delta)
     if not 1 <= r <= n:
         raise ValueError(f"support size {r} outside [1:{n}]")
     if r >= a:
-        raise ValueError(
-            f"support size {r} must be below the threshold a = {a:.4f}"
-        )
-    if delta <= 0 or trials < 1:
-        raise ValueError("need delta > 0, trials >= 1")
+        raise ValueError(f"support size {r} must be below the threshold a = {a:.4f}")
     successes = 0
     target = 1.0 + a
     for t in range(trials):

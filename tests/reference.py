@@ -4,7 +4,8 @@ form, the oracle's column classes and the condition bound, a plain
 rank oracle, the `json` parse of an index-set file, and two sumset
 fixtures; with the test-only helpers that the package does not need: a
 reader of every level of a residue histogram, digit reversal, the
-dihedral action and the interpolating basis.
+dihedral action, the interpolating basis and the sampling-set pick by
+pivoted QR.
 
 These are the package's original algorithms over tuples, sets and
 Python-int bitmasks: a histogram built by looping over every element at
@@ -80,6 +81,33 @@ def interpolating_basis(basis_matrix, sample_set):
     if not report.full_rank:
         raise SingularSystemError(report)
     return r @ np.linalg.inv(square)
+
+
+def find_sampling_set(basis_matrix):
+    """Pick d rows of an N x d rank-d matrix forming a well-conditioned
+    square submatrix: the pivots of QR with column pivoting on the
+    transpose, in O(N d^2). Each step takes the row of largest residual
+    norm, the first on ties, and projects it out of the others; the rank
+    falls short once that norm is TOLERANCE * d * the largest row norm or less."""
+    from unisamp.base import TOLERANCE
+    from unisamp.index_core import IndexSet
+
+    r = np.array(basis_matrix, dtype=np.complex128)  # residuals, reduced in place
+    n, d = r.shape
+    floor = TOLERANCE * d * np.linalg.norm(r, axis=1).max(initial=0.0)
+    rows = []
+    for _ in range(min(n, d)):
+        norms = np.linalg.norm(r, axis=1)
+        p = int(np.argmax(norms))
+        if norms[p] <= floor:
+            break
+        q = r[p] / norms[p]
+        r -= np.outer(r @ q.conj(), q)
+        r[p] = 0
+        rows.append(p)
+    if len(rows) < d:
+        raise ValueError(f"matrix rank below {d}; no sampling set exists")
+    return IndexSet.of(n, rows)
 
 
 def verdict(levels):

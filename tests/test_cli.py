@@ -285,6 +285,31 @@ def _limited_child(*argv):
     )
 
 
+# `python -m unisamp.cli`, whose process then writes its own peak RSS in
+# KiB, VmHWM, as its last stderr line.
+_PEAK_SCRIPT = """
+import sys
+from unisamp.cli import run
+try:
+    run()
+finally:
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")),
+              file=sys.stderr)
+"""
+
+
+def _limited_peak(*argv):
+    """_limited_child running `unisamp *argv`, with its stderr, and the
+    child's own peak RSS in KiB. `os.wait4`'s ru_maxrss would not do: a
+    child forked from pytest keeps the pytest image's high-water mark in
+    it across exec, while VmHWM starts afresh with the exec'd image."""
+    proc = _limited_child("-c", _PEAK_SCRIPT, *argv)
+    *err, peak = proc.stderr.splitlines(keepends=True)
+    proc.stderr = "".join(err)
+    return proc, int(peak)
+
+
 def test_bracelets_canonical_large_n_bounded_memory():
     """The canonical form costs O(|I|), not O(N |I|): at N = 200000 a
     block of 2001 elements, its own mirror image, is canonical with an
@@ -488,41 +513,13 @@ def test_large_prime_base_refusals_exit_two(capsys, argv):
     assert time.perf_counter() - start < 1.0
 
 
-def test_oracle_single_row_at_2_24_bounded_rss():
-    """The 1 x 2^24 row block is built in one complex buffer beside its
-    int64 phase, so the child's peak RSS stays under 640 MB."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    with subprocess.Popen(
-        [sys.executable, "-m", "unisamp.cli", "oracle", "-N", "16777216", "-I", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-    ) as proc:
-        out, err = proc.stdout.read(), proc.stderr.read()
-        # reap the child here, not in Popen, to read its own rusage
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err
-    assert out == '{"universal": true}\n'
-    assert usage.ru_maxrss < 640 * 1024
-
-
 def test_oracle_one_row_needs_no_row_block():
     """A tested set of one element is decided without its 1 x N row
     block, so `oracle -N 2^24 -I 0` peaks under 100 MB."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    with subprocess.Popen(
-        [sys.executable, "-m", "unisamp.cli", "oracle", "-N", "16777216", "-I", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-    ) as proc:
-        out, err = proc.stdout.read(), proc.stderr.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err
-    assert out == '{"universal": true}\n'
-    assert usage.ru_maxrss < 100 * 1024
+    proc, peak = _limited_peak("oracle", "-N", "16777216", "-I", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"universal": true}\n'
+    assert peak < 100 * 1024
 
 
 # Times the middle counts at N = 2^40 (about 1.7e11 digits) and 2^24
@@ -745,6 +742,26 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "-N", "8", *extra)
         assert code == 2 and out == ""
         assert err == "error: specify -N, or -p with -M, not both\n"
+
+    _RAND = {"rand-maximal": (["-s", "4", "-d", "1"], "need d >= 1, delta > 0, trials >= 1"),
+             "rand-signal": (["-r", "1"], "need delta > 0, trials >= 1")}
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("command", sorted(_RAND))
+    def test_rand_delta_positive_and_finite(self, capsys, command, delta):
+        """delta is checked before any use: a NaN or infinite one would
+        print NaN or Infinity, which is not JSON, and rand-signal's
+        threshold a divided by 1 + delta = 0 at delta = -1."""
+        args, message = self._RAND[command]
+        argv = [command, "-p", "2", "-M", "3", *args, f"--delta={delta}",
+                "--trials", "2", "--seed", "1"]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", sorted(_RAND))
+    def test_rand_negative_seed_is_named(self, capsys, command):
+        argv = [command, "-p", "2", "-M", "3", *self._RAND[command][0], "--delta", "1",
+                "--trials", "2", "--seed", "-1"]
+        assert run(capsys, *argv) == (2, "", "error: seed must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("p,m,message", [
         ("4", "2", "p = 4 is not prime"), ("2", "0", "exponent must be >= 1, got 0"),
@@ -1042,8 +1059,7 @@ _EXPORTS = {
     ],
     "fourier": [
         "RankReport", "Signal", "SingularSystemError", "brute_force_universal",
-        "condition_report", "dft_submatrix", "find_sampling_set", "interpolate",
-        "is_invertible",
+        "condition_report", "dft_submatrix", "interpolate", "is_invertible",
     ],
     "uncertainty": [
         "RandomExperimentSummary", "SupportProfile", "cauchy_davenport_check",
@@ -1055,7 +1071,7 @@ _EXPORTS = {
 
 def test_public_names_resolve_lazily():
     names = sorted(name for names in _EXPORTS.values() for name in names)
-    assert len(names) == 46
+    assert len(names) == 45
     assert sorted(unisamp.__all__) == names
     assert set(names) <= set(dir(unisamp))
     for module, exported in _EXPORTS.items():

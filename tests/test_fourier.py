@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import act, interpolating_basis
+from reference import act, find_sampling_set, interpolating_basis
 from unisamp import (
     IndexSet,
     Signal,
@@ -20,7 +20,6 @@ from unisamp import (
     brute_force_universal,
     condition_report,
     dft_submatrix,
-    find_sampling_set,
     interpolate,
     is_invertible,
     is_universal,

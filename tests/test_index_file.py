@@ -5,7 +5,6 @@ paths."""
 
 import json
 import os
-import resource
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from test_cli import _limited_peak
 from unisamp import cli, index_core
 from unisamp.base import JSON_CHUNK, json_chunks
 from unisamp.cli import main, parse_index_set
@@ -308,20 +308,10 @@ def test_range_to_2_24_bounded_rss():
     """`0..16777214` is one int64 arange, not a list of 2^24 Python ints,
     adopted by the set without a copy, and its one-row complement needs
     no row block, so the oracle call on it peaks under 300 MB."""
-    with subprocess.Popen(
-        [sys.executable, "-m", "unisamp.cli", "oracle", "-N", "16777216",
-         "-I", "0..16777214"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
-    ) as proc:
-        out, err = proc.stdout.read(), proc.stderr.read()
-        # reap the child here, not in Popen, to read its own rusage
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err
-    assert out == '{"universal": true}\n'
-    assert usage.ru_maxrss < 300 * 1024
+    proc, peak = _limited_peak("oracle", "-N", "16777216", "-I", "0..16777214")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"universal": true}\n'
+    assert peak < 300 * 1024
 
 
 def test_range_parse_adopts_its_arange():
