@@ -1,8 +1,9 @@
 """What the integer-only layer needs, with no numpy: the prime-power
 modulus, the one check that inputs share Z_N, the fixed rank tolerance
 and enumeration budget, the exceptions of a failed check (the CLI's exit
-1), JSON input's decoding and integer checks, and the JSON writer. `index_core`,
-`universality` and `fourier` re-export the modulus and the exceptions.
+1), JSON input's decoding and integer checks, and the JSON writer. `index_core`
+re-exports the modulus; `universality` the modulus, `NotUniversalError` and
+`InfeasibleSizeError`; `fourier` only `SingularSystemError`.
 """
 
 from __future__ import annotations

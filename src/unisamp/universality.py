@@ -164,63 +164,59 @@ def schur_valuation(index_set: IndexSet, modulus: PrimePowerModulus) -> SchurVal
     return SchurValuation(num, den)
 
 
-def _full_level(arr: np.ndarray, p: int) -> int:
-    """Largest k such that every class mod p^k meets the set (0 for the
-    empty set). A full level has p^k <= |I|, and full levels are nested,
-    so the occupancy of the classes at the largest such k is folded one
-    level down at a time (classes a + j p^(k-1) merge) until all are hit."""
-    k, pk = 0, 1
-    while pk * p <= len(arr):  # so k <= M, as |I| <= N
-        k, pk = k + 1, pk * p
-    occupied = np.zeros(pk, dtype=bool)
-    for _, _, residues in _blocks(arr, pk):
-        occupied[residues] = True
-    while k and not occupied.all():
-        occupied, k = occupied.reshape(p, -1).any(0), k - 1
-    return k
+def _extract_piece(index_set: IndexSet, k: Optional[int], modulus: PrimePowerModulus
+                   ) -> tuple[int, Optional[IndexSet], IndexSet]:
+    """(k, piece, rest): the elementary piece at level k, or with k None at
+    the deepest full level, and what remains without its shadow.
 
-
-def _extract_piece(index_set: IndexSet, k: int, modulus: PrimePowerModulus) -> tuple[IndexSet, IndexSet]:
-    """Pull out one elementary piece at level k and drop its shadow.
-
-    The piece takes the smallest element of each class mod p^k. Every
-    remaining element congruent to a chosen one mod p^{k+1} is removed
-    along with it, which is what keeps later pieces separated. An element
-    of residue r mod p^{k+1} lies in that shadow exactly when the piece's
-    element of its class r mod p^k has residue r, so membership is one
-    lookup in the piece's p^k residues, a table no larger than the input.
+    The piece takes the smallest element of each class mod p^k, read from
+    one table of each class's least position in the sorted array, len(arr)
+    marking an empty class (LookupError at a given level). The search fills
+    it at the top level, the last with p^k <= |I|, and, as full levels are
+    nested, folds it a level down (classes a + j p^(k-1) merge, by min)
+    until no class is empty; at level 0 it returns (0, None, the set), as
+    the greedy takes those pieces in one pass. The shadow, every element
+    congruent to a chosen one mod p^{k+1}, keeps later pieces separated: an
+    element of residue r mod p^{k+1} lies in it exactly when the piece's
+    element of its class r mod p^k has residue r, a lookup in the piece's
+    p^k residues, so no table outgrows the input.
     """
-    n, arr = modulus.n, index_set.array
-    pk = modulus.p ** k
+    n, p, arr = modulus.n, modulus.p, index_set.array
+    search, k = k is None, k or 0
+    pk = p ** k
+    while search and pk * p <= len(arr):  # the top level is at most M, as |I| <= N
+        k, pk = k + 1, pk * p
     if pk > len(arr):
         raise LookupError(f"some class mod {pk} is empty")
-    # each class's least position in arr, then the element there: arr is
-    # sorted, so that is its smallest; position len(arr) marks an empty class
-    smallest = np.full(pk, len(arr), dtype=np.int64)
-    for start, chunk, residues in _blocks(arr, pk):
-        np.minimum.at(smallest, residues, np.arange(start, start + len(chunk)))
-    if smallest[smallest.argmax()] == len(arr):
-        raise LookupError(f"some class mod {pk} is empty")
-    smallest = arr[smallest]  # in class order
-    pk1 = pk * modulus.p
-    key = smallest % pk1
-    keep = np.empty(len(arr), dtype=bool)
-    for start, _, r in _blocks(arr, pk1):
+    smallest = np.full(pk, len(arr), dtype=np.min_scalar_type(len(arr)))
+    for start, _, r in _blocks(arr, pk):
+        np.minimum.at(smallest, r, np.arange(start, start + len(r), dtype=smallest.dtype))
+    while smallest.max() == len(arr):  # an empty class; never at level 0, as arr is not empty
+        if not search:
+            raise LookupError(f"some class mod {pk} is empty")
+        smallest, k, pk = smallest.reshape(p, -1).min(0), k - 1, pk // p
+    if search and k == 0:
+        return 0, None, index_set
+    smallest = arr[smallest]  # each class's least position to its element, in class order
+    key, keep = smallest % (pk * p), np.empty(len(arr), dtype=bool)
+    for start, _, r in _blocks(arr, pk * p):
         np.not_equal(key[r % pk], r, out=keep[start:start + len(r)])
     smallest.sort()
-    return IndexSet._trusted(n, smallest), IndexSet._trusted(n, arr[keep])
+    return k, IndexSet._trusted(n, smallest), IndexSet._trusted(n, arr[keep])
 
 
 def _greedy(index_set: IndexSet, modulus: PrimePowerModulus, levels=None) -> UniversalDecomposition:
     """Elementary pieces at the given levels, in decreasing order (LookupError at one with an
-    empty class), or, without levels, each at the deepest full level of what remains until
-    nothing does. Once that level is 0 it stays 0, and a piece at level 0 is the smallest
-    element left, its shadow the rest of its class mod p: so the level-0 pieces are the
-    smallest elements of the remaining classes mod p, ascending, taken in one pass."""
+    empty class), or, without levels, each at the deepest full level of what remains, found by
+    the call that extracts it, until nothing does. Once that level is 0 it stays 0, and a piece
+    at level 0 is the smallest element left, its shadow the rest of its class mod p: so the
+    level-0 pieces are the least elements of the remaining classes mod p, ascending, in one pass."""
     same_group(index_set=index_set, modulus=modulus)
     pieces, remaining = [], index_set
     while len(remaining) if levels is None else len(pieces) < len(levels):
-        k = _full_level(remaining.array, modulus.p) if levels is None else levels[len(pieces)]
+        k = None if levels is None else levels[len(pieces)]
+        if k != 0:
+            k, piece, remaining = _extract_piece(remaining, k, modulus)
         if k == 0:
             smallest = remaining.array  # its classes mod p are distinct when p > its elements
             if len(smallest) and modulus.p <= smallest[-1]:
@@ -231,7 +227,6 @@ def _greedy(index_set: IndexSet, modulus: PrimePowerModulus, levels=None) -> Uni
                 raise LookupError("some class mod 1 is empty")
             pieces += [(0, IndexSet._trusted(modulus.n, smallest[i:i + 1])) for i in range(wanted)]
             break
-        piece, remaining = _extract_piece(remaining, k, modulus)
         pieces.append((k, piece))
     return UniversalDecomposition(tuple(pieces))
 
@@ -239,11 +234,11 @@ def _greedy(index_set: IndexSet, modulus: PrimePowerModulus, levels=None) -> Uni
 def maximal_universal(index_set: IndexSet, modulus: PrimePowerModulus) -> MaximalResult:
     """Greedy extraction of a largest universal subset.
 
-    Repeatedly finds the deepest level whose classes are all occupied,
-    strips an elementary piece there, and discards everything sharing a
-    class one level deeper with the piece. The union of the pieces is a
-    maximum-cardinality universal subset. No residue pyramid is built:
-    the working set is a few arrays the size of the input's.
+    Repeatedly strips an elementary piece at the deepest full level, in
+    two scans of what remains (`_extract_piece`), and discards everything
+    sharing a class one level deeper with it. The union of the pieces is a
+    maximum-cardinality universal subset. No residue pyramid is built: the
+    working set is a few arrays the size of the input's.
     """
     decomposition = _greedy(index_set, modulus)
     example = decomposition.union(modulus.n)

@@ -24,7 +24,7 @@ from unisamp import (
     universal_subset_of_size,
 )
 from unisamp import index_core
-from unisamp.universality import _extract_piece, _full_level, _omega_rows
+from unisamp.universality import _extract_piece, _omega_rows
 from conftest import all_subsets, exact_pairwise_valuation
 import reference
 from reference import act, read_levels
@@ -246,24 +246,48 @@ class TestMaximal:
             == n
         )
 
+    @pytest.mark.parametrize("p,m", [(2, 12), (3, 7)])
+    def test_two_scans_per_piece(self, p, m, monkeypatch):
+        """Each piece above level 0 scans what remains twice: once for its
+        table of least positions, which also gives its level, and once for
+        its shadow. The search that ends at level 0 scans once more. No
+        pass reads the occupancy alone."""
+        import unisamp.universality as universality
+
+        scans = []
+        blocks = universality._blocks
+
+        def counted(arr, modulus):
+            scans.append(modulus)
+            return blocks(arr, modulus)
+
+        monkeypatch.setattr(universality, "_blocks", counted)
+        result = maximal_universal(_half_set(p, m), PrimePowerModulus(p, m))
+        levels = result.decomposition.k_sequence
+        above = sum(1 for k in levels if k)
+        assert above >= 3 and 0 in levels
+        assert len(scans) <= 2 * above + 1
+
 
 class TestFullLevel:
-    """The greedy's level from folded class occupancy equals the
-    reference's scan of the classes at every level."""
+    """The level that `_extract_piece` finds, by folding its table of
+    least positions down from the top level, equals the reference's scan
+    of the classes at every level, on the non-empty sets the greedy
+    searches."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, data):
         p, m = data.draw(st.sampled_from([(2, 3), (2, 8), (3, 2), (3, 5), (5, 2), (5, 3)]))
         n = p ** m
-        kind = data.draw(st.sampled_from(["random", "universal", "empty", "full"]))
-        elems = {"empty": set(), "full": set(range(n))}.get(kind)
-        if elems is None:
-            elems = data.draw(st.sets(st.integers(0, n - 1)))
+        kind = data.draw(st.sampled_from(["random", "universal", "full"]))
+        elems = set(range(n)) if kind == "full" else data.draw(
+            st.sets(st.integers(0, n - 1), min_size=1))
         if kind == "universal":  # the reference greedy's union is universal
             elems = {e for _, piece in reference.maximal(elems, p, m) for e in piece}
-        got = _full_level(iset(n, elems).array, p)
-        assert got == reference._largest_full_level(elems, p, m)
+        k, piece, _ = _extract_piece(iset(n, elems), None, PrimePowerModulus(p, m))
+        assert k == reference._largest_full_level(elems, p, m)
+        assert (piece is None) == (k == 0)
 
 
 def _plant_above_top(data, elems, p, m):
@@ -346,8 +370,10 @@ def _one_piece_per_pass(s, modulus, levels=None):
     level with an empty class."""
     pieces, remaining = [], s
     while len(remaining) if levels is None else len(pieces) < len(levels):
-        k = _full_level(remaining.array, modulus.p) if levels is None else levels[len(pieces)]
-        piece, remaining = _extract_piece(remaining, k, modulus)
+        k = None if levels is None else levels[len(pieces)]
+        k, piece, remaining = _extract_piece(remaining, k, modulus)
+        if piece is None:  # the search stopped at level 0: extract there
+            k, piece, remaining = _extract_piece(remaining, 0, modulus)
         pieces.append((k, piece.elements))
     return pieces
 
