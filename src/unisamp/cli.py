@@ -5,8 +5,8 @@ its subparser is declared; `main` alone maps exceptions to exit codes.
 Exit codes: 0 success, 1 failed mathematical check (a verdict that
 contradicts --expect, a violated bound, a non-universal set to
 decompose, an infeasible size, a singular interpolation system),
-2 usage error (bad arguments, malformed JSON, wrong modulus class) or a
-request that runs out of memory.
+2 usage error (bad arguments, malformed JSON, wrong modulus class), a
+request past memory, or a number past the int64 or float range.
 """
 
 from __future__ import annotations
@@ -83,10 +83,18 @@ def _load_json(path: str, loads=None):
         raise ValueError(f"malformed JSON in {path}: {exc}")
 
 
-def _emit(obj, file=None) -> None:
-    """Print obj as one JSON line, arrays written in pieces by `json_chunks`."""
-    (file or sys.stdout).writelines(json_chunks(obj))
+def _emit(obj, file=None) -> int:
+    """Print obj as one JSON line, arrays written in pieces by `json_chunks`,
+    and return 0. The int->str digit limit is lifted for the write, and only
+    here, so a result prints whole while parsing input keeps that guard."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        (file or sys.stdout).writelines(json_chunks(obj))
+    finally:
+        sys.set_int_max_str_digits(limit)
     print(file=file)
+    return 0
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -227,49 +235,34 @@ def _maximal(args) -> int:
     from .universality import maximal_universal
 
     result = maximal_universal(*_residue_input(args))
-    _emit({"size": result.size, "example": result.example.array,
-           **result.decomposition.to_json()})
-    return 0
+    return _emit({"size": result.size, "example": result.example.array,
+                  **result.decomposition.to_json()})
 
 
 def _minimal(args) -> int:
     from .universality import minimal_universal
 
     result = minimal_universal(*_residue_input(args))
-    _emit({"size": result.size, "example": result.example.array})
-    return 0
+    return _emit({"size": result.size, "example": result.example.array})
 
 
 def _construct(args) -> int:
     from .universality import universal_subset_of_size
 
     result = universal_subset_of_size(*_residue_input(args), args.size)
-    _emit(result.to_json())
-    return 0
+    return _emit(result.to_json())
 
 
 def _decompose(args) -> int:
     from .universality import decompose
 
     decomposition = decompose(*_residue_input(args))
-    _emit(decomposition.to_json())
-    return 0
-
-
-def _print_count(count: int) -> int:
-    """Print a count past the int->str digit limit, lifted only here for it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        print(count)
-    finally:
-        sys.set_int_max_str_digits(limit)
-    return 0
+    return _emit(decomposition.to_json())
 
 
 def _count(args) -> int:
     count = count_by_brute_force if args.brute else count_universal
-    return _print_count(count(args.d, _modulus(args)))
+    return _emit(count(args.d, _modulus(args)))
 
 
 def _entropy(args) -> int:
@@ -282,20 +275,18 @@ def _entropy(args) -> int:
 
 def _bracelets(args) -> int:
     if args.count is not None:
-        return _print_count(bracelet_count(args.n, args.count))
+        return _emit(bracelet_count(args.n, args.count))
     from .index_core import bracelet_canonical
 
     cls = bracelet_canonical(parse_index_set(args.canonical, args.n))
-    _emit({"canonical": cls.canonical.array, "orbit_size": cls.orbit_size})
-    return 0
+    return _emit({"canonical": cls.canonical.array, "orbit_size": cls.orbit_size})
 
 
 def _oracle(args) -> int:
     from .fourier import brute_force_universal
 
     iset = parse_index_set(args.I, args.N)
-    _emit({"universal": brute_force_universal(iset, args.N)})
-    return 0
+    return _emit({"universal": brute_force_universal(iset, args.N)})
 
 
 def _interpolate(args) -> int:
@@ -323,16 +314,14 @@ def _interpolate(args) -> int:
                 f"{name} file declares n={declared}, command line says N={args.N}"
             )
     signal = interpolate(values, sample_set, support)
-    _emit(signal.to_json())
-    return 0
+    return _emit(signal.to_json())
 
 
 def _condition(args) -> int:
     from .fourier import condition_report
 
     report = condition_report(parse_index_set(args.J, args.N))
-    _emit(vars(report))
-    return 0
+    return _emit(vars(report))
 
 
 def _uncertainty(args) -> int:
@@ -396,8 +385,8 @@ def main(argv=None) -> int:
     except (InfeasibleSizeError, SingularSystemError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, MemoryError) as exc:
-        # usage errors, domain preconditions and requests past memory
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # usage errors, domain preconditions, requests past memory or range
         print("error:", str(exc) or type(exc).__name__, file=sys.stderr)
         return 2
 

@@ -79,13 +79,33 @@ def _exponents(d: int, modulus: PrimePowerModulus) -> dict:
 def _log_count(exponents: dict, p: int, scale: int = 1) -> float:
     """log of the product of C(p, a) ** e over `exponents`, / scale,
     without forming it or a binomial: each exponent is divided by scale
-    as an integer, and the log of C(p, a) comes from lgamma."""
+    as an integer. log C(p, a) is the lgamma difference below 2^53 or
+    where a^2 >= p; otherwise, where that difference would cancel, it is
+    a log p - log a!, whose error is under a^2/p."""
     lg = math.lgamma
-    return math.fsum(e / scale * (lg(p + 1) - lg(a + 1) - lg(p - a + 1))
-                     for a, e in exponents.items())
+
+    def log_binomial(a: int) -> float:
+        if p < 2 ** 53 or a * a >= p:
+            return lg(p + 1) - lg(a + 1) - lg(p - a + 1)
+        return a * math.log(p) - lg(a + 1)
+
+    return math.fsum(e / scale * log_binomial(a) for a, e in exponents.items())
 
 
 MAX_COUNT_DIGITS = 10 ** 6  # longer counts take seconds to form and print
+
+
+def _cap(at: str, exponents: dict, p: int, divisor: int = 1) -> None:
+    """Refuse the count at `at` when the product of C(p, a) ** e over
+    `exponents`, over `divisor`, has more than MAX_COUNT_DIGITS decimal
+    digits; a log past float range counts as too many."""
+    try:
+        digits = (_log_count(exponents, p) - math.log(divisor)) / math.log(10)
+    except OverflowError:  # an exponent, or p in lgamma, past float range
+        digits = math.inf
+    if digits > MAX_COUNT_DIGITS:
+        raise ValueError(f"the count at {at} has about {digits:.4g} decimal "
+                         f"digits, more than the limit of {MAX_COUNT_DIGITS}")
 
 
 def count_universal(d: int, modulus: PrimePowerModulus) -> int:
@@ -96,13 +116,7 @@ def count_universal(d: int, modulus: PrimePowerModulus) -> int:
     A count of more than MAX_COUNT_DIGITS decimal digits is refused.
     """
     exponents = _exponents(d, modulus)
-    try:
-        digits = _log_count(exponents, modulus.p) / math.log(10)
-    except OverflowError:  # a binomial other than 1 to a power past 2^1024
-        digits = math.inf
-    if digits > MAX_COUNT_DIGITS:
-        raise ValueError(f"the count at d={d} has about {digits:.4g} decimal "
-                         f"digits, more than the limit of {MAX_COUNT_DIGITS}")
+    _cap(f"d={d}", exponents, modulus.p)
     return math.prod(math.comb(modulus.p, a) ** e for a, e in exponents.items())
 
 
@@ -124,22 +138,19 @@ def count_by_brute_force(d: int, modulus: PrimePowerModulus) -> int:
 
 
 def entropy_curve(modulus: PrimePowerModulus, resolution: int) -> list[tuple[float, float]]:
-    """Normalized log-counts log C(floor(alpha*N), N) / N, N = modulus.n,
-    at equally spaced alpha in [0, 1]. Both endpoints give exactly 0.
+    """Normalized log-counts log C(d, N) / N, N = modulus.n, at
+    alpha = i / (resolution - 1), where d = i * N // (resolution - 1) is
+    floor(alpha * N) taken exactly. Both endpoints give exactly 0.
 
     Each log-count is _log_count, its exponents divided by N, so no
     count is formed. It differs from log(count_universal) / N by a few
-    ulps at most. Past float range, floor(alpha*N) is taken exactly.
+    ulps at most.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    n = modulus.n
-    rows = []
-    for i in range(resolution):
-        alpha = i / (resolution - 1)
-        d = math.floor(alpha * n) if n < 2 ** 1000 else i * n // (resolution - 1)
-        rows.append((alpha, _log_count(_exponents(min(n, d), modulus), modulus.p, n)))
-    return rows
+    n, last = modulus.n, resolution - 1
+    return [(i / last, _log_count(_exponents(i * n // last, modulus), modulus.p, n))
+            for i in range(resolution)]
 
 
 def bracelet_count(n: int, d: int) -> int:
@@ -148,7 +159,8 @@ def bracelet_count(n: int, d: int) -> int:
     Burnside form: the cyclic (rotation) term is
     (1/2n) * sum over k | gcd(n, d) of phi(k) * C(n/k, d/k), and the
     reflection term is half a single binomial depending on the parities
-    of n and d. A count past MAX_COUNT_DIGITS digits is refused unformed.
+    of n and d. A count past MAX_COUNT_DIGITS digits is refused unformed,
+    by `_cap` on C(n, min(d, n - d)) / 2n, a lower bound of the count.
     d = 0 and d = n give 1 before any sum. Otherwise gcd(n, d) <= m =
     min(d, n - d) <= n/2, and C(n, m) >= C(2m, m) >= 4^m / (2 sqrt(m)), so
     a count under the cap has m below about 1.7 * 10^6 for any n below
@@ -161,10 +173,7 @@ def bracelet_count(n: int, d: int) -> int:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     if d in (0, n):
         return 1
-    digits = (_log_count({d: 1}, n) - math.log(2 * n)) / math.log(10)  # C(n, d) / 2n <= count
-    if digits > MAX_COUNT_DIGITS:
-        raise ValueError(f"the count at n={n}, d={d} has about {digits:.4g} decimal "
-                         f"digits, more than the limit of {MAX_COUNT_DIGITS}")
+    _cap(f"n={n}, d={d}", {min(d, n - d): 1}, n, 2 * n)
     terms, rest, q = [(1, 1)], math.gcd(n, d), 2  # (k, phi(k)) for the divisors k found
     while rest > 1:
         q = q if q * q <= rest else rest  # past sqrt(rest), rest is prime

@@ -157,7 +157,7 @@ def schur_valuation(index_set: IndexSet, modulus: PrimePowerModulus) -> SchurVal
         pairs = int((runs * (runs - 1)).sum()) // 2
         num, k = num + pairs, k + 1
     den, pk = 0, p
-    for _ in range(modulus.m):
+    while pk <= d:  # past p^k > |I|, no two of the block share a class
         q, r = divmod(d, pk)
         den += r * (q + 1) * q // 2 + (pk - r) * q * (q - 1) // 2
         pk *= p

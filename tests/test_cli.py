@@ -257,6 +257,34 @@ class TestCountingCommands:
         assert err == ("error: the count at n=10000000, d=5000000 has about 3.01e+06 "
                        "decimal digits, more than the limit of 1000000\n")
 
+    @pytest.mark.parametrize("argv,at,digits", [
+        (["count", "-p", str(10 ** 24 + 7), "-M", "1", "-d", "100000"], "d=100000", "1.943e+06"),
+        (["bracelets", "-n", str(10 ** 25), "--count", "100000"],
+         f"n={10 ** 25}, d=100000", "2.043e+06"),
+    ], ids=["count", "bracelets"])
+    def test_count_cap_past_float_precision(self, argv, at, digits):
+        """Past 2^53 the lgamma difference for log C(p, a) cancels to 0 at
+        small a, which let a count of about 2 * 10^6 digits past the cap
+        and into seconds of forming; a log p - log a! refuses it."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "unisamp.cli", *argv], capture_output=True,
+                              text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: the count at {at} has about {digits} decimal "
+                               "digits, more than the limit of 1000000\n")
+
+    def test_bracelets_count_past_float_range(self, capsys):
+        """n = 10^400: C(n, 1) / 2n and C(n, 2) / 2n size the counts
+        without a float of n."""
+        n = str(10 ** 400)
+        assert run(capsys, "bracelets", "-n", n, "--count", "1") == (0, "1\n", "")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert run(capsys, "bracelets", "-n", n, "--count", "2") == (0, f"{5 * 10 ** 399}\n", "")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_bracelets_empty_ambient_usage_error(self, capsys):
         code, out, err = run(capsys, "bracelets", "-n", "0", "--count", "0")
         assert code == 2 and out == ""
@@ -549,6 +577,21 @@ def test_count_past_digit_cap_usage_error():
         assert err.endswith("decimal digits, more than the limit of 1000000\n")
 
 
+def test_construct_past_digit_limit(capsys):
+    """N = 2^20000 has 6,021 digits: the JSON line is written whole, with
+    the int->str limit lifted only for the write."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "construct", "-p", "2", "-M", "20000", "-I", "0,1", "--size", "1")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"n": 2 ** 20000, "indices": [0]}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestAnalysisCommands:
     def test_oracle(self, capsys):
         code, out, _ = run(capsys, "oracle", "-N", "12", "-I", "0,3,5,10")
@@ -776,6 +819,22 @@ class TestExitCodes:
         """-p must be prime and -M at least 1 in every command: p^M is not
         refactored, so -p 4 -M 2 is not read as 2^4, nor -M 0 as N = 1."""
         assert run(capsys, *argv, "-p", p, "-M", m) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["rand-maximal", "-p", "2", "-M", "2000", "-s", "1", "-d", "1", "--delta", "1",
+         "--trials", "1", "--seed", "1"],
+        ["rand-signal", "-p", "2", "-M", "2000", "-r", "1", "--delta", "1", "--trials", "1",
+         "--seed", "1"],
+        ["condition", "-N", str(2 ** 64), "-J", "0,1"],
+        ["bracelets", "-n", str(2 ** 64), "--canonical", "0,1"],
+    ], ids=lambda argv: argv[0])
+    def test_number_past_range_exits_two(self, capsys, argv):
+        """An N past float range (2^2000) or past int64 (2^64) is a
+        request out of range, not a failed check: exit 2 with the
+        message Python or numpy gives."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("modulus", [["-N", "9"], ["-p", "3", "-M", "2"]])
     def test_n_alone_or_p_with_m(self, capsys, modulus):

@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 
 import mpmath
 import pytest
@@ -13,6 +14,8 @@ from unisamp import (
     count_universal,
     entropy_curve,
 )
+from unisamp import counting
+from unisamp.counting import _log_count
 
 
 def _log_exact(value: int) -> float:
@@ -141,6 +144,23 @@ class TestLogExact:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+class TestLogCount:
+    def test_log_binomial_at_every_size(self):
+        """Past 2^53 the lgamma difference for log C(n, k) cancels at small
+        k, to 0.0 at n = 10^17, k = 3, and lgamma(n) overflows past 2^1024;
+        k log n - log k! is within k^2/n. Below 2^53 the lgamma difference
+        is kept, bit for bit."""
+        for n in (10 ** 17, 10 ** 20, 10 ** 25, 10 ** 300):
+            for k in (1, 2, 3, 10, 1000):
+                want = math.log(math.comb(n, k))
+                assert _log_count({k: 1}, n) == pytest.approx(want, rel=1e-9, abs=0), (n, k)
+        lg = math.lgamma
+        for n in (2, 7, 1000, 10 ** 9 + 7, 2 ** 53 - 1):
+            for k in {1, 2, n // 3, n // 2}:
+                if k:
+                    assert _log_count({k: 1}, n) == lg(n + 1) - lg(k + 1) - lg(n - k + 1)
+
+
 class TestEntropyCurve:
     def test_endpoints_zero(self):
         rows = entropy_curve(PrimePowerModulus(2, 4), 9)
@@ -170,6 +190,19 @@ class TestEntropyCurve:
             d = min(n, math.floor(alpha * n))
             want = _log_exact(count_universal(d, modulus)) / n
             assert value == pytest.approx(want, rel=0, abs=1e-12), (p, m, d)
+
+    @pytest.mark.parametrize("p, m, resolution", [(11, 8, 100), (3, 40, 2)])
+    def test_grid_is_exact(self, p, m, resolution):
+        """d = i * N // (resolution - 1) exactly: a float alpha * N is
+        one short at 27/99 * 11^8, and at 3^40 it makes the last row
+        1.1e-16, not 0."""
+        modulus = PrimePowerModulus(p, m)
+        n, last = modulus.n, resolution - 1
+        with mock.patch.object(counting, "_exponents", wraps=counting._exponents) as spy:
+            rows = entropy_curve(modulus, resolution)
+        assert [call.args[0] for call in spy.call_args_list] == [
+            i * n // last for i in range(resolution)]
+        assert rows[-1] == (1.0, 0.0)
 
     def test_hostile_depth_is_instant(self):
         """N = 2^40: the middle count is 2^(2^39), past any exact product.
