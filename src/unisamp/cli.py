@@ -22,7 +22,7 @@ import sys
 # imports its library names when it runs.
 from .base import (
     InfeasibleSizeError, NotUniversalError, PrimePowerModulus, SingularSystemError,
-    file_text, json_chunks, json_int,
+    file_text, json_chunks, json_int, same_group,
 )
 from .counting import (
     bracelet_count, count_by_brute_force, count_universal, entropy_curve
@@ -34,6 +34,8 @@ def parse_indices(text: str) -> np.ndarray:
     new int64 array in the order written: one arange per item, joined
     unless there is only one."""
     import numpy as np
+
+    from .index_core import _INT64, _past_int64
 
     pieces = [np.empty(0, dtype=np.int64)]
     for part in text.split(","):
@@ -49,10 +51,9 @@ def parse_indices(text: str) -> np.ndarray:
                              else f"bad index {part!r}: not an integer")
         if hi < lo:
             raise ValueError(f"bad range {part!r}: end below start")
-        try:
-            pieces.append(np.arange(lo, hi + 1, dtype=np.int64))
-        except OverflowError as exc:  # the message IndexSet gives a list of such ints
-            raise ValueError(f"indices must be integers: {exc}") from None
+        if lo not in _INT64 or hi not in _INT64:  # name the first element past int64
+            raise _past_int64(lo if lo not in _INT64 else _INT64.stop)
+        pieces.append(np.arange(lo, hi + 1, dtype=np.int64))
     return pieces[1] if len(pieces) == 2 else np.concatenate(pieces)
 
 
@@ -62,8 +63,7 @@ def parse_index_set(text: str, n: int) -> IndexSet:
 
     if text.startswith("@"):
         iset = _load_json(text[1:], IndexSet.loads)
-        if iset.n != n:
-            raise ValueError(f"file declares n={iset.n}, command line says N={n}")
+        same_group(file=iset, N=n)
         return iset
     return IndexSet._own(n, parse_indices(text))
 
@@ -308,11 +308,7 @@ def _interpolate(args) -> int:
         raise ValueError(f"{len(indices)} sample indices but {len(values)} values")
     # interpolate takes the values in increasing index order
     values = values[np.argsort(indices)]
-    for name, declared in (("samples", samples_n), ("support", support.n)):
-        if declared != args.N:
-            raise ValueError(
-                f"{name} file declares n={declared}, command line says N={args.N}"
-            )
+    same_group(samples=samples_n, support=support, N=args.N)
     signal = interpolate(values, sample_set, support)
     return _emit(signal.to_json())
 

@@ -10,6 +10,7 @@ sequences. `PrimePowerModulus` (from `base`) and `bracelet_count` (from
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -22,19 +23,31 @@ from .base import PrimePowerModulus, Record, file_text, json_chunks, json_int, s
 from .counting import bracelet_count  # noqa: F401
 
 
+_INT64 = range(-2 ** 63, 2 ** 63)
+
+
+def _past_int64(value: int) -> ValueError:
+    """The refusal of an integer index that int64 cannot hold."""
+    return ValueError(f"element {value} is past the int64 limit {_INT64[-1 if value > 0 else 0]}")
+
+
 def _int_array(values) -> np.ndarray:
     """A new one-dimensional int64 array of the given integers. Values of
-    any other type (0.5, 2.0, "3", True) are refused, not truncated."""
+    any other type (0.5, 2.0, "3", True) are refused, not truncated, and
+    so is an integer past int64, by name."""
     if not isinstance(values, np.ndarray):
         values = values if isinstance(values, (list, tuple)) else list(values)
         if not {bool, np.bool_}.isdisjoint(map(type, values)):  # else cast to 0 or 1
             raise ValueError("indices must be integers, got bool values")
     arr = np.array(values)  # a new array, also from an array
     if arr.dtype.kind != "i":
+        # an int past int64 makes the array uint64, float64 or object
+        for v in values.tolist() if isinstance(values, np.ndarray) else values:
+            if isinstance(v, (int, np.integer)) and int(v) not in _INT64:
+                raise _past_int64(int(v))
         if arr.size and arr.dtype.kind not in "uO":
             raise ValueError(f"indices must be integers, got {arr.dtype} values")
         try:
-            # ints past int64 arrive as uint64 or object: cast the input to report it
             arr = np.array(values, dtype=np.int64)
         except (OverflowError, TypeError) as exc:
             raise ValueError(f"indices must be integers: {exc}") from None
@@ -103,10 +116,6 @@ class IndexSet:
 
     def __len__(self) -> int:
         return len(self.array)
-
-    def __contains__(self, x: int) -> bool:
-        i = int(np.searchsorted(self.array, x))
-        return i < len(self.array) and self.array[i] == x
 
     def __iter__(self):
         return iter(self.array.tolist())
@@ -240,12 +249,12 @@ _BLOCK = 1 << 12  # entries per block of a residue temporary: 32 KiB of int64
 
 
 def _blocks(arr: np.ndarray, modulus: int):
-    """(start, chunk, chunk % modulus) for the blocks of _BLOCK entries
-    of arr; the residues share one buffer, valid until the next block."""
+    """(start, residues mod `modulus`) for the blocks of _BLOCK entries of
+    arr; the residues share one buffer, valid until the next block."""
     buf = np.empty(min(len(arr), _BLOCK), dtype=np.int64)
     for start in range(0, len(arr), _BLOCK):
         chunk = arr[start:start + _BLOCK]
-        yield start, chunk, np.remainder(chunk, modulus, out=buf[:len(chunk)])
+        yield start, np.remainder(chunk, modulus, out=buf[:len(chunk)])
 
 
 def _sorted_residues(arr: np.ndarray, modulus: int) -> np.ndarray:
@@ -300,10 +309,6 @@ class ResidueHistogram:
         first = np.flatnonzero(np.diff(r, prepend=-1))
         return r[first], np.diff(first, append=len(r))
 
-    def spread_ok(self) -> bool:
-        """True when max - min <= 1 at every level."""
-        return not np.count_nonzero(self.hi - self.lo > 1)
-
 
 def residue_histogram(index_set: IndexSet, modulus: PrimePowerModulus) -> ResidueHistogram:
     """Count elements of the set in each congruence class mod p^k, all k <= M.
@@ -322,7 +327,7 @@ def residue_histogram(index_set: IndexSet, modulus: PrimePowerModulus) -> Residu
     while pk * p <= len(arr) and top < modulus.m:
         top, pk = top + 1, pk * p
     rows = [np.zeros(pk, dtype=np.int64)]
-    for _, _, residues in _blocks(arr, pk):
+    for _, residues in _blocks(arr, pk):
         np.add.at(rows[0], residues, 1)
     for _ in range(top):
         rows.insert(0, rows[0].reshape(p, -1).sum(0))
@@ -382,15 +387,16 @@ def bracelet_canonical(index_set: IndexSet) -> BraceletClass:
     e_(i+1) - e_i from one element; reflection reverses the gaps. So the
     least image comes from the least rotation of the gaps or of their
     reversal, and the N * period / |I| translates double unless the two
-    agree."""
-    n, arr = index_set.n, index_set.array
-    if not len(arr):
+    agree. The gaps and their sums are Python ints, so any N works while
+    the least image's elements fit int64."""
+    n, elems = index_set.n, index_set.array.tolist()
+    if not elems:
         return BraceletClass(index_set, 1)
-    gaps = np.diff(arr, append=arr[0] + n).tolist()
+    gaps = [b - a for a, b in zip(elems, elems[1:] + [elems[0] + n])]
     fwd, back, d = _least_rotation(gaps), _least_rotation(gaps[::-1]), len(gaps)
     best = min(fwd, back)
     period = next(q for q in range(1, d + 1) if d % q == 0 and best[q:] == best[:-q])
-    return BraceletClass(IndexSet._trusted(n, np.cumsum([0] + best[:-1])),
+    return BraceletClass(IndexSet.of(n, itertools.accumulate(best[:-1], initial=0)),
                          n * period // d * (1 if fwd == back else 2))
 
 

@@ -21,23 +21,21 @@ from .universality import _omega_rows, maximal_universal
 
 
 class SupportProfile(Record):
-    signal: Signal
     support: IndexSet
     zero_set: IndexSet
-    tolerance: float
+
+
+def _in_support(values: np.ndarray) -> np.ndarray:
+    """|x| > 1e-9 max|x| for each value x, the support: structural zeros of
+    synthesized signals classify correctly despite roundoff."""
+    mags = np.abs(values)
+    return mags > 1e-9 * float(mags.max(initial=0.0))
 
 
 def support_profile(signal: Signal) -> SupportProfile:
-    """Split indices into support and zero set.
-
-    The support holds the values above a tolerance of 1e-9 times the
-    largest magnitude, so structural zeros of synthesized signals
-    classify correctly despite roundoff.
-    """
-    mags = np.abs(signal.values)
-    tolerance = 1e-9 * float(mags.max(initial=0.0))
-    support = IndexSet._trusted(signal.n, np.flatnonzero(mags > tolerance))
-    return SupportProfile(signal, support, support.complement(), tolerance)
+    """Split indices into support and zero set (see `_in_support`)."""
+    support = IndexSet._trusted(signal.n, np.flatnonzero(_in_support(signal.values)))
+    return SupportProfile(support, support.complement())
 
 
 class BoundCheck(Record):
@@ -106,7 +104,6 @@ class RandomExperimentSummary(Record):
     successes: int
     theoretical_bound: float
     parameters: dict
-    prng: str = "PCG64"
 
     @property
     def empirical_probability(self) -> float:
@@ -130,7 +127,7 @@ class RandomExperimentSummary(Record):
             "theoretical_bound": self.theoretical_bound,
             "slack_3_sigma": self.slack,
             "within_bound": self.within_bound,
-            "prng": self.prng,
+            "prng": "PCG64",  # the bit generator of `_trial_rng`
             "parameters": self.parameters,
         }
 
@@ -227,10 +224,8 @@ def random_signal_uncertainty(
         support = rng.permutation(n)[:r]
         values = np.zeros(n, dtype=np.complex128)
         values[support] = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        spectrum = np.fft.fft(values)
         supp_g = int(np.count_nonzero(np.abs(values) > 0))
-        tol = 1e-9 * float(np.abs(spectrum).max())
-        supp_fg = int(np.count_nonzero(np.abs(spectrum) > tol))
+        supp_fg = int(np.count_nonzero(_in_support(np.fft.fft(values))))
         if supp_g + supp_fg >= target:
             successes += 1
     bound = 1.0 - (a - r) ** (-delta)

@@ -129,7 +129,8 @@ def is_universal_via_dispersion(index_set: IndexSet, modulus: PrimePowerModulus)
     `is_universal`, so the two cannot disagree (see
     `is_universal_via_chi_star`).
     """
-    return residue_histogram(index_set, modulus).spread_ok()
+    hist = residue_histogram(index_set, modulus)
+    return not np.count_nonzero(hist.hi - hist.lo >= 2)
 
 
 def schur_valuation(index_set: IndexSet, modulus: PrimePowerModulus) -> SchurValuation:
@@ -189,7 +190,7 @@ def _extract_piece(index_set: IndexSet, k: Optional[int], modulus: PrimePowerMod
     if pk > len(arr):
         raise LookupError(f"some class mod {pk} is empty")
     smallest = np.full(pk, len(arr), dtype=np.min_scalar_type(len(arr)))
-    for start, _, r in _blocks(arr, pk):
+    for start, r in _blocks(arr, pk):
         np.minimum.at(smallest, r, np.arange(start, start + len(r), dtype=smallest.dtype))
     while smallest.max() == len(arr):  # an empty class; never at level 0, as arr is not empty
         if not search:
@@ -199,7 +200,7 @@ def _extract_piece(index_set: IndexSet, k: Optional[int], modulus: PrimePowerMod
         return 0, None, index_set
     smallest = arr[smallest]  # each class's least position to its element, in class order
     key, keep = smallest % (pk * p), np.empty(len(arr), dtype=bool)
-    for start, _, r in _blocks(arr, pk * p):
+    for start, r in _blocks(arr, pk * p):
         np.not_equal(key[r % pk], r, out=keep[start:start + len(r)])
     smallest.sort()
     return k, IndexSet._trusted(n, smallest), IndexSet._trusted(n, arr[keep])

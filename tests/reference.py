@@ -279,7 +279,7 @@ def parse_index_file(path, n):
         raise ValueError(f"malformed JSON in {path}: {exc}")
     iset = IndexSet.from_json(obj)
     if iset.n != n:
-        raise ValueError(f"file declares n={iset.n}, command line says N={n}")
+        raise ValueError(f"inputs live in different groups: file in Z_{iset.n}, N in Z_{n}")
     return iset
 
 

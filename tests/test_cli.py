@@ -71,7 +71,7 @@ class TestCheck:
         path = tmp_path / "set.json"
         path.write_text(json.dumps({"n": 9, "indices": [0]}))
         code, _, err = run(capsys, "check", "-N", "8", "-I", f"@{path}")
-        assert code == 2 and "n=9" in err
+        assert code == 2 and "inputs live in different groups: file in Z_9, N in Z_8" in err
 
     def test_malformed_json_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -296,6 +296,17 @@ class TestCountingCommands:
         assert code == 0
         assert obj["canonical"] == sorted(obj["canonical"])
         assert (2 * 12) % obj["orbit_size"] == 0
+
+    def test_bracelets_canonical_past_int64(self, capsys):
+        """At N = 2^64 the form is taken in Python ints: it prints while
+        its elements fit int64, and is refused by the first that does not."""
+        n = str(2 ** 64)
+        assert run(capsys, "bracelets", "-n", n, "--canonical", "0,1,5") == (
+            0, '{"canonical": [0, 1, 5], "orbit_size": 36893488147419103232}\n', "")
+        # least image {0, 1, 3, 4, 6, N - 3}
+        assert run(capsys, "bracelets", "-n", n, "--canonical", "0,2,3,5,6,9") == (
+            2, "", "error: element 18446744073709551613 is past the int64 limit "
+            "9223372036854775807\n")
 
 
 def _limited_child(*argv):
@@ -826,15 +837,31 @@ class TestExitCodes:
         ["rand-signal", "-p", "2", "-M", "2000", "-r", "1", "--delta", "1", "--trials", "1",
          "--seed", "1"],
         ["condition", "-N", str(2 ** 64), "-J", "0,1"],
-        ["bracelets", "-n", str(2 ** 64), "--canonical", "0,1"],
+        ["bracelets", "-n", str(2 ** 64), "--canonical", "0,2,3,5,6,9"],
     ], ids=lambda argv: argv[0])
     def test_number_past_range_exits_two(self, capsys, argv):
         """An N past float range (2^2000) or past int64 (2^64) is a
-        request out of range, not a failed check: exit 2 with the
-        message Python or numpy gives."""
+        request out of range, not a failed check: exit 2 with one line,
+        the message Python or numpy gives or the element past int64."""
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,element", [
+        (["check", "-I", "9223372036854775808"], 2 ** 63),
+        (["check", "-I", "9223372036854775800..9223372036854775808"], 2 ** 63),
+        (["check", "-I", "5..9223372036854775810"], 2 ** 63),
+        (["check", "-I=-9223372036854775809..0"], -2 ** 63 - 1),
+        (["sumset", "-X", "9223372036854775000", "-Y", "9223372036854775000"],
+         18446744073709550000),
+    ], ids=["index", "range", "long-range", "negative-range", "sumset"])
+    def test_index_past_int64_named(self, capsys, argv, element):
+        """An integer index past int64, written, in a range or formed as a
+        sum in Z_(2^64), is refused by name with exit 2; a range never
+        wraps round to an element the input did not hold."""
+        limit = 2 ** 63 - 1 if element > 0 else -2 ** 63
+        assert run(capsys, argv[0], "-N", str(2 ** 64), *argv[1:]) == (
+            2, "", f"error: element {element} is past the int64 limit {limit}\n")
 
     @pytest.mark.parametrize("modulus", [["-N", "9"], ["-p", "3", "-M", "2"]])
     def test_n_alone_or_p_with_m(self, capsys, modulus):

@@ -150,6 +150,20 @@ class TestIndexSet:
                      np.array([3, 1], dtype=np.uint8), [np.int64(3), 1]):
             assert IndexSet.of(8, ints).elements == (1, 3)
 
+    def test_refuses_integers_past_int64_by_name(self):
+        """numpy makes such a list float64, uint64 or object, and casts a
+        uint64 array round to negatives; each is refused by its first
+        element past int64, which is named with the limit it passes."""
+        import numpy as np
+
+        for bad, element in (([1, 2 ** 63], 2 ** 63), ([2 ** 63], 2 ** 63),
+                             ([3, 2 ** 70, 1.5], 2 ** 70), ((0, -2 ** 63 - 1), -2 ** 63 - 1),
+                             (np.array([1, 2 ** 63 + 5], dtype=np.uint64), 2 ** 63 + 5)):
+            limit = 2 ** 63 - 1 if element > 0 else -2 ** 63
+            with pytest.raises(ValueError, match=f"^element {element} is past the int64 "
+                                                 f"limit {limit}$"):
+                IndexSet.of(2 ** 80, bad)
+
     def test_rejects_booleans_next_to_integers(self):
         """numpy casts [True, 2] to int64 [1, 2]; the bool is refused."""
         import numpy as np
@@ -327,6 +341,28 @@ class TestBracelets:
             act(s, (-e if flip else e) % n, flip) == cls.canonical
             for e in s.elements for flip in (False, True)
         )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_past_int64(self, data):
+        """At n past int64 the gaps and their sums are Python ints. Each of
+        the 2|I| images holding 0 comes from one group element (the one
+        taking an element, either way round, to 0), so the form is the
+        least of them and the orbit is 2n over how often it recurs; a form
+        that leaves int64 is refused by its first element past it."""
+        n = data.draw(st.integers(2 ** 63 + 1, 2 ** 66))
+        elements = data.draw(st.sets(st.one_of(st.integers(0, 40), st.integers(0, 2 ** 63 - 1)),
+                                     min_size=1, max_size=8))
+        images = [tuple(sorted(sign * (x - e) % n for x in elements))
+                  for e in elements for sign in (1, -1)]
+        best = min(images)
+        past = [x for x in best if x >= 2 ** 63]
+        if past:
+            with pytest.raises(ValueError, match=f"^element {past[0]} is past the int64 limit"):
+                bracelet_canonical(IndexSet.of(n, elements))
+        else:
+            cls = bracelet_canonical(IndexSet.of(n, elements))
+            assert (cls.canonical.elements, cls.orbit_size) == (best, 2 * n // images.count(best))
 
     def test_canonical_orbit_of_symmetric_sets(self):
         """Rotation and reflection symmetry shrink the orbit: a block is

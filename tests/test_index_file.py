@@ -296,7 +296,7 @@ class TestIntegerN:
     def test_samples_file_n_is_checked(self, capsys, tmp_path):
         code, out, err = self._interpolate(capsys, tmp_path, 1024)
         assert (code, out) == (2, "")
-        assert "samples file declares n=1024, command line says N=8" in err
+        assert "inputs live in different groups: samples in Z_1024, support in Z_8, N in Z_8" in err
 
     def test_samples_file_n_is_an_integer(self, capsys, tmp_path):
         code, out, err = self._interpolate(capsys, tmp_path, 8.0)

@@ -102,9 +102,8 @@ def test_post_init_validates():
 
 
 def test_default_shared_from_the_class():
-    from unisamp.uncertainty import RandomExperimentSummary
     from unisamp.universality import UniversalityVerdict
 
     assert UniversalityVerdict(True).witness is None
-    assert RandomExperimentSummary(1, 1, 0.5, {}).prng == "PCG64"
-    assert RandomExperimentSummary(1, 1, 0.5, {}, "MT19937").prng == "MT19937"
+    assert UniversalityVerdict(False, (1, 0, 2)).witness == (1, 0, 2)
+    assert UniversalityVerdict(False, witness=(1, 0, 2)).witness == (1, 0, 2)

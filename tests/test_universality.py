@@ -484,7 +484,6 @@ def test_pyramid_readers_stay_bounded(elements):
         for name in dir(hist):
             if not name.startswith("_"):
                 getattr(hist, name)
-        hist.spread_ok()
         for k in range(modulus.m + 1):
             hist.runs(k)
         is_universal(s, modulus)
